@@ -163,13 +163,6 @@ let verbose_arg =
   let doc = "Also print the static slice and per-iteration progress." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
-let retained_arg =
-  let doc =
-    "Ingest reports through the retained-trace reference path instead of the \
-     streaming accumulator (differential oracle; identical output)."
-  in
-  Arg.(value & flag & info [ "retained-ingest" ] ~doc)
-
 let json_arg =
   let doc = "Emit the sketch as JSON instead of the ASCII rendering." in
   Arg.(value & flag & info [ "json" ] ~doc)
@@ -199,7 +192,7 @@ let checkpoint_every_arg =
     & opt int Gist.Config.default.Gist.Config.checkpoint_every
     & info [ "checkpoint-every" ] ~doc)
 
-let diagnose_run name sigma0 no_cf no_df verbose json jobs faults retained
+let diagnose_run name sigma0 no_cf no_df verbose json jobs faults
     no_early_exit separation_delta checkpoint_every =
   match find_bug name with
   | Error e -> prerr_endline e; 1
@@ -240,10 +233,7 @@ let diagnose_run name sigma0 no_cf no_df verbose json jobs faults retained
       in
       let d =
         Parallel.Pool.with_pool ~jobs:(resolve_jobs jobs) (fun pool ->
-            Gist.Server.diagnose ~config ~pool
-              ~ingest:
-                (if retained then Gist.Server.Retained else Gist.Server.Streaming)
-              ~oracle:(Experiments.Oracle.for_bug bug)
+            Gist.Server.diagnose ~config ~pool ~oracle:(Experiments.Oracle.for_bug bug)
               ~bug_name:(Printf.sprintf "%s bug #%s" bug.name bug.bug_id)
               ~failure_type:bug.failure_type ~program:bug.program
               ~workload_of:bug.workload_of ~failure ())
@@ -310,7 +300,7 @@ let diagnose_cmd =
        ~doc:"Diagnose a Bugbase failure end-to-end and print its sketch")
     Term.(
       const diagnose_run $ bug_arg $ sigma0_arg $ no_cf_arg $ no_df_arg
-      $ verbose_arg $ json_arg $ jobs_arg $ faults_term $ retained_arg
+      $ verbose_arg $ json_arg $ jobs_arg $ faults_term
       $ no_early_exit_arg $ separation_delta_arg $ checkpoint_every_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -7,16 +7,15 @@
    reports instead of silently diagnosing from garbage.
 
    Validation is layered:
-   - transport integrity: protocol version and an explicit full-walk
-     checksum over every report field;
+   - transport integrity: protocol version and a digest over every
+     envelope byte;
+   - routing: the diagnosis session the report belongs to;
    - freshness: the client echoes the digest of the plan it ran under,
      so a report built from a previous iteration's plan is rejected
      (its tracked set and watchpoint rotation no longer match);
    - structure: the client's own PT decoder flagged ring damage;
    - semantics: every statement id the report mentions must exist in
      the program the server is diagnosing. *)
-
-open Ir.Types
 
 (* Version 3 is the multi-bug service era: the envelope is keyed by
    the diagnosis session (which bug the report belongs to) as well as
@@ -26,15 +25,6 @@ open Ir.Types
    a mis-routed report must be a typed reject, not a silent
    cross-contamination of another bug's statistics. *)
 let version = 3
-
-type envelope = {
-  e_version : int;
-  e_client : int;     (* fleet slot that produced the report *)
-  e_session : int;    (* diagnosis session (bug) the report belongs to *)
-  e_plan_id : int;    (* digest of the plan the client ran under *)
-  e_checksum : int;   (* full-walk digest of [e_report] *)
-  e_report : Client.report;
-}
 
 type reject =
   | Bad_version of int
@@ -70,182 +60,22 @@ let reject_to_string = function
   | Damaged_trace m -> Printf.sprintf "damaged PT trace: %s" m
   | Bad_payload m -> Printf.sprintf "malformed payload: %s" m
 
-(* The checksum is an explicit fold over every field of the report.
-   [Hashtbl.hash] would be shorter but truncates its traversal after a
-   few dozen nodes, so tail tampering (a flipped value in the last
-   trap of a long log) would slip through. *)
-
-(* A splitmix-style avalanche on the native 63-bit int: the checksum
-   walks every element of multi-thousand-entry traces, so this must
-   stay allocation-free (boxed [Int64] arithmetic here costs ~5% of a
-   whole client run).  Multiplications wrap, which is fine for
-   mixing; the result is masked positive so [lsr] stays benign. *)
+(* A splitmix-style avalanche on the native 63-bit int: the digest
+   walks every byte of multi-kilobyte envelopes, so this must stay
+   allocation-free (boxed [Int64] arithmetic here costs ~5% of a whole
+   client run).  Multiplications wrap, which is fine for mixing; the
+   result is masked positive so [lsr] stays benign. *)
 let mix h x =
   let z = h + (((x lsl 1) lor 1) * 0x9E3779B97F4A7C1) in
   let z = (z lxor (z lsr 30)) * 0x1F58476D1CE4E5B9 in
   let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
   (z lxor (z lsr 31)) land 0x3FFFFFFFFFFFFFFF
 
-let mix_float h f =
-  mix h Int64.(to_int (logand (bits_of_float f) 0x3FFFFFFFFFFFFFFFL))
-
-(* Bulk traces (executed iids, branch outcomes) dominate the walk; a
-   single multiply-xor chain step per element keeps the cost at one
-   multiplication instead of {!mix}'s three while still propagating any
-   element change through the rest of the fold.  Every list fold counts
-   as it goes and finishes with a full {!mix} avalanche over the
-   length, so neither truncation nor element swaps cancel out and no
-   extra [List.length] traversal is paid. *)
+(* The bulk of the walk: a single multiply-xor chain step per word
+   keeps the cost at one multiplication instead of {!mix}'s three while
+   still propagating any change through the rest of the fold; the
+   final {!mix} over the length keeps truncation from cancelling out. *)
 let step h x = ((h lxor x) * 0x9E3779B97F4A7C1) land 0x3FFFFFFFFFFFFFFF
-
-let mix_string h s =
-  mix (String.fold_left (fun h c -> step h (Char.code c)) h s)
-    (String.length s)
-
-let mix_list f h l =
-  let rec go h n = function
-    | [] -> mix h n
-    | x :: tl -> go (f h x) (n + 1) tl
-  in
-  go h 0 l
-
-let step_ints h l = mix_list step h l
-
-let mix_value h (v : Exec.Value.t) =
-  match v with
-  | Exec.Value.VInt i -> mix (mix h 1) i
-  | Exec.Value.VPtr a -> mix (mix h 2) a
-  | Exec.Value.VStr s -> mix_string (mix h 3) s
-  | Exec.Value.VTid t -> mix (mix h 4) t
-  | Exec.Value.VNull -> mix h 5
-  | Exec.Value.VUnit -> mix h 6
-
-let mix_kind h (k : Exec.Failure.kind) =
-  match k with
-  | Exec.Failure.Segfault -> mix h 1
-  | Exec.Failure.Use_after_free -> mix h 2
-  | Exec.Failure.Double_free -> mix h 3
-  | Exec.Failure.Assert_fail s -> mix_string (mix h 4) s
-  | Exec.Failure.Deadlock -> mix h 5
-  | Exec.Failure.Hang -> mix h 6
-  | Exec.Failure.Div_by_zero -> mix h 7
-  | Exec.Failure.Type_error s -> mix_string (mix h 8) s
-
-let mix_pt_error h (e : Hw.Pt.error) =
-  match e with
-  | Hw.Pt.Truncated -> mix h 1
-  | Hw.Pt.Bad_target pc -> mix (mix h 2) pc
-  | Hw.Pt.Malformed_packet m -> mix_string (mix h 3) m
-  | Hw.Pt.Empty_stream -> mix h 4
-
-let checksum (r : Client.report) =
-  let h = mix 0x6715 r.Client.r_seed in
-  let h =
-    match r.Client.r_outcome with
-    | Exec.Interp.Success -> mix h 1
-    | Exec.Interp.Failed rep ->
-      let h = mix_kind (mix h 2) rep.Exec.Failure.kind in
-      let h = mix (mix h rep.Exec.Failure.pc) rep.Exec.Failure.tid in
-      let h = mix_list mix_string h rep.Exec.Failure.stack in
-      mix_string h rep.Exec.Failure.message
-  in
-  let h =
-    match r.Client.r_signature with
-    | None -> mix h 3
-    | Some s ->
-      let h = mix_string (mix h 4) s.Exec.Failure.s_kind in
-      mix_list mix_string (mix h s.Exec.Failure.s_pc) s.Exec.Failure.s_stack
-  in
-  let h =
-    mix_list
-      (fun h (tid, iids) -> step_ints (mix h tid) iids)
-      h r.Client.r_executed
-  in
-  let h =
-    mix_list
-      (fun h (iid, taken) -> step (step h iid) (if taken then 2 else 3))
-      h r.Client.r_branches
-  in
-  let h =
-    mix_list
-      (fun h (t : Hw.Watchpoint.trap) ->
-        let h = mix (mix h t.Hw.Watchpoint.w_seq) t.Hw.Watchpoint.w_tid in
-        let h = mix (mix h t.Hw.Watchpoint.w_iid) t.Hw.Watchpoint.w_addr in
-        let h =
-          mix h (match t.Hw.Watchpoint.w_rw with Exec.Interp.Read -> 1 | Exec.Interp.Write -> 2)
-        in
-        mix_value h t.Hw.Watchpoint.w_value)
-      h r.Client.r_traps
-  in
-  (* [r_counters] is covered through its ranking-relevant projections
-     below; the raw counter record never reaches the predictors. *)
-  let h = mix_float h r.Client.r_overhead_pct in
-  let h = mix_float h r.Client.r_base_cycles in
-  let h = mix_float h r.Client.r_extra_cycles in
-  let h = mix h r.Client.r_steps in
-  mix_list (fun h (tid, e) -> mix_pt_error (mix h tid) e) h r.Client.r_pt_errors
-
-let seal ?(session = 0) ~client ~plan_id report =
-  {
-    e_version = version;
-    e_client = client;
-    e_session = session;
-    e_plan_id = plan_id;
-    e_checksum = checksum report;
-    e_report = report;
-  }
-
-(* [validate ~n_instrs ~plan_id env] returns the report only if every
-   layer passes; no rejected report may reach predictor ranking.
-   Routing (session) is checked after integrity but before freshness:
-   a mis-routed report's plan digest belongs to another session's
-   iteration history, so comparing it against [plan_id] first would
-   book routing faults as staleness. *)
-let validate ?(session = 0) ~n_instrs ~plan_id env =
-  if env.e_version <> version then Error (Bad_version env.e_version)
-  else if checksum env.e_report <> env.e_checksum then Error Bad_checksum
-  else if env.e_session <> session then
-    Error (Wrong_session { expected = session; got = env.e_session })
-  else if env.e_plan_id <> plan_id then
-    Error (Stale_plan { expected = plan_id; got = env.e_plan_id })
-  else
-    let r = env.e_report in
-    match r.Client.r_pt_errors with
-    | (tid, Hw.Pt.Empty_stream) :: _ -> Error (Dropped_trace tid)
-    | (tid, e) :: _ ->
-      Error
-        (Damaged_trace
-           (Printf.sprintf "thread %d: %s" tid (Hw.Pt.error_to_string e)))
-    | [] ->
-      let rec iids_ok : iid list -> bool = function
-        | [] -> true
-        | iid :: tl -> iid >= 0 && iid < n_instrs && iids_ok tl
-      in
-      let rec exec_ok = function
-        | [] -> true
-        | (_, iids) :: tl -> iids_ok iids && exec_ok tl
-      in
-      let rec branches_ok : (iid * bool) list -> bool = function
-        | [] -> true
-        | (iid, _) :: tl -> iid >= 0 && iid < n_instrs && branches_ok tl
-      in
-      let rec traps_ok : Hw.Watchpoint.trap list -> bool = function
-        | [] -> true
-        | t :: tl ->
-          t.Hw.Watchpoint.w_iid >= 0
-          && t.Hw.Watchpoint.w_iid < n_instrs
-          && traps_ok tl
-      in
-      let bad_exec = not (exec_ok r.Client.r_executed)
-      and bad_branch = not (branches_ok r.Client.r_branches)
-      and bad_trap = not (traps_ok r.Client.r_traps) in
-      if bad_exec then
-        Error (Bad_payload "executed statement outside the program")
-      else if bad_branch then
-        Error (Bad_payload "branch outcome on a statement outside the program")
-      else if bad_trap then
-        Error (Bad_payload "watchpoint trap on a statement outside the program")
-      else Ok r
 
 (* ------------------------------------------------------------------ *)
 (* Encode: the byte form an envelope takes on the wire.
@@ -258,16 +88,14 @@ let validate ?(session = 0) ~n_instrs ~plan_id env =
    the envelope length — the same report would then draw different
    reject labels in different sessions, breaking the contract that a
    multiplexed diagnosis is bit-identical to its one-shot counterpart
-   (whose session id differs).  The digest is the same
-   splitmix-avalanche family as {!checksum} but folded over the
-   *encoded bytes* (header fields mixed in first): one pass over the
-   wire form covers every field the old full-walk checksum covered,
-   because every field is in the bytes.
+   (whose session id differs).  The digest is folded over the *encoded
+   bytes* (header fields mixed in first): every report field is in the
+   bytes, so one pass over the wire form covers them all.
 
    Payload field order is chosen so a single forward scan classifies
-   rejects in exactly {!validate}'s priority: [r_pt_errors] comes
+   rejects in the validation layers' priority: [r_pt_errors] comes
    first (dropped/damaged-trace beats bad-payload), then the sections
-   whose statement ids are range-checked in validate order — executed,
+   whose statement ids are range-checked in order — executed,
    branches, traps.  {!ingest} exploits this: it scans the bytes
    allocation-free, and only a report that passes every layer is
    materialised into a [Client.report].
@@ -565,8 +393,8 @@ module Encode = struct
     v
 
   (* Allocation-free forward scan of the payload: returns the first
-     reject the bytes justify, in exactly {!validate}'s priority
-     order, without materialising a single list. *)
+     reject the bytes justify, in the layers' priority order, without
+     materialising a single list. *)
   let scan_payload ~n_instrs (r : W.reader) =
     ignore (W.get_int r) (* seed *);
     let n_errs = W.get_uint r in
@@ -697,9 +525,8 @@ module Encode = struct
     | Ok (_ : int) -> Ok ()
     | Error _ as e -> e
 
-  (* [ingest ~n_instrs ~plan_id bytes] is {!validate} over the wire
-     form: one allocation-free scan classifies the reject (same
-     layering, same priority), and only an accepted report is
+  (* [ingest ~n_instrs ~plan_id bytes]: one allocation-free scan
+     classifies the reject, and only an accepted report is
      materialised. *)
   let ingest ?(session = 0) ~n_instrs ~plan_id bytes =
     match scan ~session ~n_instrs ~plan_id bytes with

@@ -2,13 +2,13 @@
     each client report, validated by the server before anything reaches
     aggregation or predictor ranking.
 
-    Layers, checked in order: protocol version; an explicit full-walk
-    checksum over every report field (transit integrity); the plan
-    digest the client echoes back (freshness — a report built under a
-    previous iteration's plan is useless because its tracked set and
-    watchpoint rotation no longer match); the client-side PT decoder's
-    typed damage flags (structure); and statement-id range checks
-    (semantics). *)
+    Layers, checked in order: protocol version; a digest over every
+    envelope byte (transit integrity); the diagnosis session (routing);
+    the plan digest the client echoes back (freshness — a report built
+    under a previous iteration's plan is useless because its tracked
+    set and watchpoint rotation no longer match); the client-side PT
+    decoder's typed damage flags (structure); and statement-id range
+    checks (semantics). *)
 
 (** Current protocol version (3: the multi-bug service era — the
     envelope is keyed by diagnosis session as well as fleet slot, so a
@@ -16,15 +16,6 @@
     reports instead of silently folding them into another bug's
     statistics). *)
 val version : int
-
-type envelope = {
-  e_version : int;
-  e_client : int;   (** fleet slot that produced the report *)
-  e_session : int;  (** diagnosis session (bug) the report belongs to *)
-  e_plan_id : int;  (** digest of the plan the client ran under *)
-  e_checksum : int; (** full-walk digest of [e_report] *)
-  e_report : Client.report;
-}
 
 (** Why a report was refused.  A rejected report never reaches
     predictor ranking. *)
@@ -47,23 +38,6 @@ val reject_label : reject -> string
 
 val reject_to_string : reject -> string
 
-(** Explicit digest over every report field ([Hashtbl.hash] truncates
-    its traversal and would miss tail tampering). *)
-val checksum : Client.report -> int
-
-(** [session] defaults to 0 — the id single-bug drivers use, so
-    one-shot call sites need not change. *)
-val seal : ?session:int -> client:int -> plan_id:int -> Client.report -> envelope
-
-(** [validate ~n_instrs ~plan_id env] runs every validation layer;
-    [Error] carries the first failure.  [n_instrs] is the exclusive
-    upper bound on valid statement ids (iids are 1-based, so pass
-    max iid + 1).  [session] (default 0) is the id of the diagnosis
-    session doing the validating. *)
-val validate :
-  ?session:int ->
-  n_instrs:int -> plan_id:int -> envelope -> (Client.report, reject) result
-
 (** The byte form an envelope takes on the wire: varint [version] and
     [client], a fixed 4-byte LE [session] word (fixed-width so the
     envelope's length — and therefore which byte a deterministic
@@ -71,7 +45,7 @@ val validate :
     a varint [plan_id], an 8-byte LE digest, then the varint-packed
     report payload with statement ids delta-encoded.
 
-    Payload field order mirrors {!validate}'s reject priority
+    Payload field order mirrors the layers' reject priority
     ([r_pt_errors] lead, then executed / branches / traps), so
     {!Encode.ingest} classifies rejects with one allocation-free
     forward scan and materialises only accepted reports. *)
@@ -98,10 +72,14 @@ module Encode : sig
     ?session:int ->
     n_instrs:int -> plan_id:int -> string -> (unit, reject) result
 
-  (** [ingest ~n_instrs ~plan_id bytes] is {!validate} over the wire
-      form: same layers, same priority, one forward scan; the report
-      is decoded only once every layer has passed.  Never raises —
-      arbitrary bytes yield a [reject]. *)
+  (** [ingest ~n_instrs ~plan_id bytes] runs every validation layer in
+      one forward scan and decodes the report only once every layer
+      has passed; [Error] carries the first failure.  [n_instrs] is
+      the exclusive upper bound on valid statement ids (iids are
+      1-based, so pass max iid + 1).  [session] (default 0, the id
+      single-bug drivers use) is the id of the diagnosis session doing
+      the validating.  Never raises — arbitrary bytes yield a
+      [reject]. *)
   val ingest :
     ?session:int ->
     n_instrs:int -> plan_id:int -> string -> (Client.report, reject) result

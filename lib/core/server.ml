@@ -88,8 +88,8 @@ type diagnosis = {
   recurrences : int;     (* matching failing runs consumed by AsT *)
   total_runs : int;      (* monitored production runs *)
   avg_overhead_pct : float; (* fleet-wide: aggregate extra / aggregate base *)
-  offline_time_s : float; (* static analysis + instrumentation time *)
-  online_time_s : float;  (* simulated fleet wall-clock, incl. retry backoff *)
+  offline_time_s : float; (* static analysis + instrumentation, wall clock *)
+  online_time_s : float;  (* fleet wall clock + simulated retry backoff *)
   final_sigma : int;
   tracked : iid list;     (* statements tracked in the last iteration *)
   trace : iteration_info list; (* per-AsT-iteration progress *)
@@ -532,7 +532,7 @@ module Session = struct
   (* --- offline: choose the tracked portion, build the patch --- *)
   let begin_iteration t =
     t.iteration <- t.iteration + 1;
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     let tracked =
       List.sort_uniq compare
         (Slicing.Slicer.take t.slice t.sigma @ IntSet.elements t.discovered)
@@ -551,7 +551,7 @@ module Session = struct
     in
     let plan_id = Instrument.Plan.id plan in
     let prev = t.prev_plan in
-    t.offline_time <- t.offline_time +. (Sys.time () -. t0);
+    t.offline_time <- t.offline_time +. (Unix.gettimeofday () -. t0);
     t.fails <- 0;
     t.succs <- 0;
     t.clients <- 0;
@@ -735,7 +735,7 @@ module Session = struct
       else t.sigma <- t.sigma * 2
     end;
     if t.stop then begin
-      t.online_time <- Sys.time () -. t.t_online0 -. t.offline_time;
+      t.online_time <- Unix.gettimeofday () -. t.t_online0 -. t.offline_time;
       t.phase <- Done
     end
     else begin_iteration t
@@ -884,7 +884,7 @@ module Session = struct
       ?(id = 0) ~bug_name ~failure_type ~program ~workload_of
       ~(failure : Exec.Failure.report) () =
     let config = Config.check config in
-    let t_offline0 = Sys.time () in
+    let t_offline0 = Unix.gettimeofday () in
     (* Compile the program once up front (memoised in
        [Analysis.Cache]): every client run and PT decode below then
        hits the cache, and the one-time lowering cost is charged to
@@ -909,7 +909,7 @@ module Session = struct
        identical in both ingest modes (the retained ranking itself
        still comes from the replayed observations). *)
     let early = config.Config.early_exit in
-    let offline_time = Sys.time () -. t_offline0 in
+    let offline_time = Unix.gettimeofday () -. t_offline0 in
     let t =
       {
         s_id = id;
@@ -926,7 +926,7 @@ module Session = struct
         slice;
         slice_size = Slicing.Slicer.instr_count slice;
         target_sig;
-        t_online0 = Sys.time ();
+        t_online0 = Unix.gettimeofday ();
         offline_time;
         online_time = 0.0;
         sigma = config.Config.sigma0;
@@ -1006,8 +1006,9 @@ module Session = struct
         (if t.base_cycles > 0.0 then 100.0 *. t.extra_cycles /. t.base_cycles
          else 0.0);
       offline_time_s = t.offline_time;
-      (* Retry backoff and straggler deadlines happen in fleet time,
-         not server CPU time: charge them to the online phase. *)
+      (* Retry backoff and straggler deadlines happen in simulated
+         fleet time, not on the server's clock: charge them to the
+         online phase. *)
       online_time_s = max t.online_time 0.0 +. t.sim_delay;
       final_sigma = t.sigma;
       tracked =
@@ -1527,7 +1528,7 @@ module Session = struct
                    tracked lists — pure functions of (program, tracked),
                    so the restored plans, ids and groups are the bytes'
                    exact originals. *)
-                let t0 = Sys.time () in
+                let t0 = Unix.gettimeofday () in
                 let plan_of tracked =
                   let plan =
                     Instrument.Place.compute ~enable_cf:config.Config.enable_cf
@@ -1559,8 +1560,8 @@ module Session = struct
                     slice;
                     slice_size = Slicing.Slicer.instr_count slice;
                     target_sig = Exec.Failure.signature failure;
-                    t_online0 = Sys.time ();
-                    offline_time = offline_time +. (Sys.time () -. t0);
+                    t_online0 = Unix.gettimeofday ();
+                    offline_time = offline_time +. (Unix.gettimeofday () -. t0);
                     online_time;
                     sigma;
                     discovered;

@@ -29,7 +29,7 @@ type iteration_info = {
   it_oracle_pass : bool;
   it_dispatched : int;  (** dispatches, including retries *)
   it_lost : int;        (** crashed / dropped / timed-out dispatches *)
-  it_rejected : int;    (** reports refused by {!Protocol.validate} *)
+  it_rejected : int;    (** reports refused by {!Protocol.Encode.ingest} *)
   it_retried : int;     (** re-dispatches after a loss or rejection *)
   it_quarantined : int; (** slots abandoned after [max_retries] *)
   it_degraded : bool;   (** valid reports stayed below quorum *)
@@ -76,10 +76,11 @@ type diagnosis = {
   total_runs : int;   (** monitored production runs *)
   avg_overhead_pct : float;
       (** fleet-wide: aggregate extra cycles over aggregate base cycles *)
-  offline_time_s : float; (** static analysis + instrumentation time *)
+  offline_time_s : float;
+      (** static analysis + instrumentation, wall-clock seconds *)
   online_time_s : float;
-      (** simulated fleet wall-clock, including retry backoff and
-          straggler deadlines *)
+      (** fleet wall-clock seconds, plus the simulated retry backoff
+          and straggler deadlines *)
   final_sigma : int;
   tracked : iid list; (** statements tracked in the last iteration *)
   trace : iteration_info list;
@@ -136,9 +137,10 @@ module Session : sig
   (** [create ~bug_name ~failure_type ~program ~workload_of ~failure ()]
       runs the offline phase (slice, via {!Analysis.Cache}) and arms
       the first iteration.  [id] (default 0) keys this session's wire
-      envelopes ({!Protocol.envelope}[.e_session]); a multi-bug driver
-      must give each live session a distinct id so mis-routed reports
-      are rejected, not silently folded into another bug's statistics.
+      envelopes (their session word, see {!Protocol.Encode}); a
+      multi-bug driver must give each live session a distinct id so
+      mis-routed reports are rejected, not silently folded into another
+      bug's statistics.
       The id never influences the diagnosis result — only host-time
       fields can differ between ids.
       @raise Config.Invalid if [config] fails {!Config.validate}. *)

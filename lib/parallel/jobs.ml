@@ -5,8 +5,8 @@
    () - 1] (the caller participates in every map, so [jobs] worker
    domains saturate [jobs + 1] cores).  Requested counts are clamped to
    [available ()]: worker domains beyond the core count cannot add
-   parallelism, only scheduler churn (BENCH_PR1 ran jobs=2 on a 1-core
-   host and measured parallel diagnosis at 0.37x sequential).  [global
+   parallelism, only scheduler churn (two workers on a 1-core host ran
+   parallel diagnosis at 0.37x sequential speed).  [global
    ()] hands out one shared pool, created lazily with whatever the
    default resolves to at first use. *)
 
@@ -31,8 +31,6 @@ let effective () =
     match of_env () with
     | Some n -> n
     | None -> max 0 (available () - 1))
-
-let default = effective
 
 let global_pool : Pool.t option ref = ref None
 let lock = Mutex.create ()

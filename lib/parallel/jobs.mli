@@ -13,9 +13,6 @@ val available : unit -> int
     workers). *)
 val effective : unit -> int
 
-(** Alias for {!effective} (the historical name). *)
-val default : unit -> int
-
 (** Override the default (the CLI's [--jobs]).  Clamped to
     [0 <= n <= available ()]; retires a previously created {!global}
     pool of a different effective size. *)

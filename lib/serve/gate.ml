@@ -33,7 +33,6 @@ let spec_of ~early_exit (case : G.case) failure =
     Service.sp_name = case.G.c_name;
     sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
     sp_config = { (C.config_of case) with Gist.Config.early_exit };
-    sp_ingest = Gist.Server.Streaming;
     sp_oracle =
       Some
         (fun (sk : Fsketch.Sketch.t) ->

@@ -40,7 +40,6 @@ type spec = {
   sp_name : string;
   sp_failure_type : string;
   sp_config : Gist.Config.t;
-  sp_ingest : Server.ingest_mode;
   sp_oracle : (Fsketch.Sketch.t -> bool) option;
   sp_program : Ir.Types.program;
   sp_workload_of : int -> Exec.Interp.workload;
@@ -344,13 +343,11 @@ let result_digest = function
    same bug under different configs are different artifacts and must
    not coalesce.  [Hashtbl.hash_param] with a deep limit keeps the
    whole config significant; it is a structural hash, so it is stable
-   across processes for equal values. *)
+   across processes for equal values.  The leading 1 is the tag specs
+   carried when they could select the ingest mode (streaming was 1);
+   it stays so every fingerprint keeps its value. *)
 
-let spec_salt sp =
-  let ingest_tag =
-    match sp.sp_ingest with Server.Streaming -> 1 | Server.Retained -> 2
-  in
-  mix ingest_tag (Hashtbl.hash_param 128 256 sp.sp_config)
+let spec_salt sp = mix 1 (Hashtbl.hash_param 128 256 sp.sp_config)
 
 let fingerprint_of_spec sp =
   Fsketch.Fingerprint.to_int
@@ -799,7 +796,7 @@ let step t =
           in
           let sp = p.p_spec in
           let session =
-            Session.create ~config:sp.sp_config ~ingest:sp.sp_ingest
+            Session.create ~config:sp.sp_config
               ?oracle:sp.sp_oracle ~id:p.p_id ~bug_name:sp.sp_name
               ~failure_type:sp.sp_failure_type ~program:sp.sp_program
               ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
@@ -1220,7 +1217,7 @@ let decode_state ~pool ~resolve state =
     let sp = resolve_exn a_name in
     let session =
       match
-        Session.restore ~config:sp.sp_config ~ingest:sp.sp_ingest
+        Session.restore ~config:sp.sp_config
           ?oracle:sp.sp_oracle ~bug_name:sp.sp_name
           ~failure_type:sp.sp_failure_type ~program:sp.sp_program
           ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure snap

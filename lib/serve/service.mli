@@ -32,7 +32,6 @@ type spec = {
   sp_name : string;
   sp_failure_type : string;
   sp_config : Gist.Config.t;
-  sp_ingest : Gist.Server.ingest_mode;
   sp_oracle : (Fsketch.Sketch.t -> bool) option;
   sp_program : Ir.Types.program;
   sp_workload_of : int -> Exec.Interp.workload;

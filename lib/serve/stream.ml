@@ -48,7 +48,6 @@ let bugbase_spec ?(early_exit = true) ?faults ?(tweak = Fun.id) ~name
         Service.sp_name = name;
         sp_failure_type = bug.failure_type;
         sp_config = tweak config;
-        sp_ingest = Gist.Server.Streaming;
         sp_oracle = None; (* unattended production: no developer in the loop *)
         sp_program = bug.program;
         sp_workload_of = bug.workload_of;
@@ -81,7 +80,6 @@ let fuzz_spec ?(early_exit = true) ?faults ?(tweak = Fun.id) ~name
            Service.sp_name = name;
            sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
            sp_config = tweak config;
-           sp_ingest = Gist.Server.Streaming;
            sp_oracle = None;
            sp_program = case.Fuzz.Gen.c_program;
            sp_workload_of = Fuzz.Gen.workload_of case;

@@ -166,7 +166,7 @@ let tamper =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Protocol: seal + validate *)
+(* Protocol: the wire envelope's integrity and range layers *)
 
 (* One real client report to tamper with. *)
 let fixture =
@@ -190,70 +190,63 @@ let fixture =
      in
      (report, n_instrs, plan_id))
 
-let validate ?n_instrs ?plan_id env =
-  let _, n, p = Lazy.force fixture in
-  P.validate
-    ~n_instrs:(Option.value ~default:n n_instrs)
-    ~plan_id:(Option.value ~default:p plan_id)
-    env
-
-let seal report =
-  let _, _, plan_id = Lazy.force fixture in
-  P.seal ~client:0 ~plan_id report
-
 let expect_reject name pred = function
   | Ok _ -> Alcotest.failf "%s: report was accepted" name
   | Error r ->
     if not (pred r) then
       Alcotest.failf "%s: wrong reason %s" name (P.reject_to_string r)
 
+let wire_of ?(client = 0) ?plan_id report =
+  let _, _, fixture_plan = Lazy.force fixture in
+  let plan_id = Option.value ~default:fixture_plan plan_id in
+  Gist.Protocol.Encode.encode
+    (Gist.Protocol.Encode.arena ())
+    ~client ~plan_id report
+
+let ingest ?n_instrs ?plan_id bytes =
+  let _, n, p = Lazy.force fixture in
+  P.Encode.ingest
+    ~n_instrs:(Option.value ~default:n n_instrs)
+    ~plan_id:(Option.value ~default:p plan_id)
+    bytes
+
+(* A report's payload bytes: the tail of its envelope. *)
+let payload_of report =
+  let b = Buffer.create 256 in
+  P.Encode.put_report b report;
+  Buffer.contents b
+
+let expect_wire_reject name pred bytes =
+  expect_reject name pred (ingest bytes);
+  (* [check] must agree with [ingest] layer for layer. *)
+  let _, n, p = Lazy.force fixture in
+  expect_reject (name ^ " (check)") pred (P.Encode.check ~n_instrs:n ~plan_id:p bytes)
+
 let protocol =
   [
-    Alcotest.test_case "a sealed report validates" `Quick (fun () ->
-        let report, _, _ = Lazy.force fixture in
-        match validate (seal report) with
-        | Ok r -> Alcotest.(check bool) "same report" true (r == report)
-        | Error e -> Alcotest.failf "rejected: %s" (P.reject_to_string e));
     Alcotest.test_case "a single checksum bit flip is rejected" `Quick
       (fun () ->
         let report, _, _ = Lazy.force fixture in
-        let env = seal report in
-        expect_reject "bad-checksum"
+        let bytes = wire_of report in
+        (* The 8-byte digest field sits right before the payload. *)
+        let at = String.length bytes - String.length (payload_of report) - 8 in
+        let b = Bytes.of_string bytes in
+        Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 1));
+        let bad = Bytes.to_string b in
+        Alcotest.(check int) "the digest field was hit"
+          (P.Encode.wire_digest bytes lxor 1) (P.Encode.wire_digest bad);
+        expect_wire_reject "bad-checksum"
           (function P.Bad_checksum -> true | _ -> false)
-          (validate { env with P.e_checksum = env.P.e_checksum lxor 1 }));
-    Alcotest.test_case "a foreign protocol version is rejected" `Quick
-      (fun () ->
-        let report, _, _ = Lazy.force fixture in
-        let env = seal report in
-        expect_reject "bad-version"
-          (function P.Bad_version v -> v = P.version + 1 | _ -> false)
-          (validate { env with P.e_version = P.version + 1 }));
-    Alcotest.test_case "a stale plan digest is rejected" `Quick (fun () ->
-        let report, _, plan_id = Lazy.force fixture in
-        expect_reject "stale-plan"
-          (function
-            | P.Stale_plan { expected; got } ->
-              expected = plan_id + 1 && got = plan_id
-            | _ -> false)
-          (validate ~plan_id:(plan_id + 1) (seal report)));
-    Alcotest.test_case "client-side decode damage is rejected" `Quick
-      (fun () ->
-        let report, _, _ = Lazy.force fixture in
-        let damaged =
-          { report with Gist.Client.r_pt_errors = [ (0, Hw.Pt.Truncated) ] }
-        in
-        expect_reject "damaged-trace"
-          (function P.Damaged_trace _ -> true | _ -> false)
-          (validate (seal damaged)));
+          bad);
     Alcotest.test_case "out-of-range statement ids are rejected" `Quick
       (fun () ->
         let report, n_instrs, _ = Lazy.force fixture in
-        let bad_exec =
-          { report with Gist.Client.r_executed = [ (0, [ n_instrs + 3 ]) ] }
+        let bad_branch =
+          { report with Gist.Client.r_branches = [ (n_instrs, true) ] }
         in
-        expect_reject "bad-payload (executed)"
+        expect_wire_reject "bad-payload (branch)"
           (function P.Bad_payload _ -> true | _ -> false)
-          (validate (seal bad_exec));
+          (wire_of bad_branch);
         let bad_trap =
           {
             report with
@@ -270,22 +263,32 @@ let protocol =
               ];
           }
         in
-        expect_reject "bad-payload (trap)"
+        expect_wire_reject "bad-payload (trap)"
           (function P.Bad_payload _ -> true | _ -> false)
-          (validate (seal bad_trap)));
+          (wire_of bad_trap));
     Alcotest.test_case "the checksum covers the tail of the report" `Quick
       (fun () ->
-        (* [Hashtbl.hash] truncates its traversal; the explicit walk
-           must notice a change in the very last fields. *)
+        (* The last payload fields: a change there must reach the
+           digest, and the changed payload under the original header
+           (and so the original digest) must be refused. *)
         let report, _, _ = Lazy.force fixture in
-        let c0 = P.checksum report in
-        Alcotest.(check bool) "r_steps" true
-          (c0 <> P.checksum { report with Gist.Client.r_steps = report.r_steps + 1 });
-        Alcotest.(check bool) "r_pt_errors" true
-          (c0
-          <> P.checksum
-               { report with Gist.Client.r_pt_errors = [ (9, Hw.Pt.Truncated) ] }))
-      ;
+        let bytes = wire_of report in
+        let header =
+          String.sub bytes 0 (String.length bytes - String.length (payload_of report))
+        in
+        List.iter
+          (fun (name, altered) ->
+            Alcotest.(check bool) (name ^ " changes the digest") true
+              (P.Encode.wire_digest (wire_of altered)
+              <> P.Encode.wire_digest bytes);
+            expect_wire_reject (name ^ " under the old digest")
+              (function P.Bad_checksum -> true | _ -> false)
+              (header ^ payload_of altered))
+          [
+            ("r_steps", { report with Gist.Client.r_steps = report.r_steps + 1 });
+            ( "r_pt_errors",
+              { report with Gist.Client.r_pt_errors = [ (9, Hw.Pt.Truncated) ] } );
+          ]);
     Alcotest.test_case "reject labels are stable counter keys" `Quick
       (fun () ->
         let labels =
@@ -307,26 +310,6 @@ let protocol =
 
 (* ------------------------------------------------------------------ *)
 (* The binary wire envelope: Encode.encode / check / ingest *)
-
-let wire_of ?(client = 0) ?plan_id report =
-  let _, _, fixture_plan = Lazy.force fixture in
-  let plan_id = Option.value ~default:fixture_plan plan_id in
-  Gist.Protocol.Encode.encode
-    (Gist.Protocol.Encode.arena ())
-    ~client ~plan_id report
-
-let ingest ?n_instrs ?plan_id bytes =
-  let _, n, p = Lazy.force fixture in
-  P.Encode.ingest
-    ~n_instrs:(Option.value ~default:n n_instrs)
-    ~plan_id:(Option.value ~default:p plan_id)
-    bytes
-
-let expect_wire_reject name pred bytes =
-  expect_reject name pred (ingest bytes);
-  (* [check] must agree with [ingest] layer for layer. *)
-  let _, n, p = Lazy.force fixture in
-  expect_reject (name ^ " (check)") pred (P.Encode.check ~n_instrs:n ~plan_id:p bytes)
 
 let wire =
   [

@@ -51,7 +51,7 @@ let tight =
     checkpoint_every_rounds = 3 }
 
 let one_shot (sp : Svc.spec) =
-  S.diagnose ~config:sp.sp_config ~ingest:sp.sp_ingest
+  S.diagnose ~config:sp.sp_config
     ?oracle:sp.sp_oracle ~bug_name:sp.sp_name
     ~failure_type:sp.sp_failure_type ~program:sp.sp_program
     ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
@@ -82,7 +82,6 @@ let bugbase_spec ~faults (b : Bugbase.Common.t) =
     Svc.sp_name = b.name;
     sp_failure_type = b.failure_type;
     sp_config = config;
-    sp_ingest = S.Streaming;
     sp_oracle = Some (Experiments.Oracle.for_bug b);
     sp_program = b.program;
     sp_workload_of = b.workload_of;
@@ -115,7 +114,6 @@ let fuzz_specs ~faults =
             sp_failure_type =
               Exec.Failure.kind_to_string failure.Exec.Failure.kind;
             sp_config = Fuzz.Check.config_of case;
-            sp_ingest = S.Streaming;
             sp_oracle = None;
             sp_program = case.Fuzz.Gen.c_program;
             sp_workload_of = Fuzz.Gen.workload_of case;
@@ -232,7 +230,6 @@ let corpus_spec (case : Fuzz.Gen.case) =
            sp_failure_type =
              Exec.Failure.kind_to_string failure.Exec.Failure.kind;
            sp_config = Fuzz.Check.config_of case;
-           sp_ingest = S.Streaming;
            sp_oracle = None;
            sp_program = case.Fuzz.Gen.c_program;
            sp_workload_of = Fuzz.Gen.workload_of case;
@@ -545,7 +542,7 @@ let containment_tests =
 (* Session snapshot/restore. *)
 
 let session_of (sp : Svc.spec) =
-  S.Session.create ~config:sp.Svc.sp_config ~ingest:sp.Svc.sp_ingest
+  S.Session.create ~config:sp.Svc.sp_config
     ?oracle:sp.Svc.sp_oracle ~bug_name:sp.Svc.sp_name
     ~failure_type:sp.Svc.sp_failure_type ~program:sp.Svc.sp_program
     ~workload_of:sp.Svc.sp_workload_of ~failure:sp.Svc.sp_failure ()
@@ -576,7 +573,7 @@ let advance s cycles =
   loop cycles
 
 let restore_of (sp : Svc.spec) bytes =
-  S.Session.restore ~config:sp.Svc.sp_config ~ingest:sp.Svc.sp_ingest
+  S.Session.restore ~config:sp.Svc.sp_config
     ?oracle:sp.Svc.sp_oracle ~bug_name:sp.Svc.sp_name
     ~failure_type:sp.Svc.sp_failure_type ~program:sp.Svc.sp_program
     ~workload_of:sp.Svc.sp_workload_of ~failure:sp.Svc.sp_failure bytes

@@ -48,7 +48,7 @@ let tight =
     round_budget = 23 }
 
 let one_shot (sp : Serve.Service.spec) =
-  S.diagnose ~config:sp.sp_config ~ingest:sp.sp_ingest
+  S.diagnose ~config:sp.sp_config
     ?oracle:sp.sp_oracle ~bug_name:sp.sp_name
     ~failure_type:sp.sp_failure_type ~program:sp.sp_program
     ~workload_of:sp.sp_workload_of ~failure:sp.sp_failure ()
@@ -95,7 +95,6 @@ let bugbase_spec ~faults (b : Bugbase.Common.t) =
     Serve.Service.sp_name = b.name;
     sp_failure_type = b.failure_type;
     sp_config = config;
-    sp_ingest = S.Streaming;
     sp_oracle = Some (Experiments.Oracle.for_bug b);
     sp_program = b.program;
     sp_workload_of = b.workload_of;
@@ -155,7 +154,6 @@ let fuzz_specs ~faults =
             sp_failure_type =
               Exec.Failure.kind_to_string failure.Exec.Failure.kind;
             sp_config = Fuzz.Check.config_of case;
-            sp_ingest = S.Streaming;
             sp_oracle = None;
             sp_program = case.Fuzz.Gen.c_program;
             sp_workload_of = Fuzz.Gen.workload_of case;
@@ -405,17 +403,6 @@ let migration =
         match P.Encode.ingest ~session:5 ~n_instrs ~plan_id bytes with
         | Ok _ -> ()
         | Error r -> Alcotest.failf "ingest: %s" (P.reject_to_string r));
-    Alcotest.test_case "record validate mirrors the wire checks" `Quick
-      (fun () ->
-        let report, n_instrs, plan_id = Lazy.force fixture in
-        let env = P.seal ~session:4 ~client:0 ~plan_id report in
-        (match P.validate ~session:6 ~n_instrs ~plan_id env with
-         | Error (P.Wrong_session { expected = 6; got = 4 }) -> ()
-         | Error r -> Alcotest.failf "validate: %s" (P.reject_to_string r)
-         | Ok _ -> Alcotest.fail "mis-routed envelope accepted");
-        match P.validate ~session:4 ~n_instrs ~plan_id env with
-        | Ok _ -> ()
-        | Error r -> Alcotest.failf "validate: %s" (P.reject_to_string r));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -435,7 +422,6 @@ let session_id_independence =
         let run id =
           let s =
             S.Session.create ~config:sp.Serve.Service.sp_config
-              ~ingest:sp.Serve.Service.sp_ingest
               ?oracle:sp.Serve.Service.sp_oracle ~id
               ~bug_name:sp.Serve.Service.sp_name
               ~failure_type:sp.Serve.Service.sp_failure_type
@@ -489,7 +475,6 @@ let corpus_spec (case : Fuzz.Gen.case) =
            sp_failure_type =
              Exec.Failure.kind_to_string failure.Exec.Failure.kind;
            sp_config = Fuzz.Check.config_of case;
-           sp_ingest = S.Streaming;
            sp_oracle = None;
            sp_program = case.Fuzz.Gen.c_program;
            sp_workload_of = Fuzz.Gen.workload_of case;

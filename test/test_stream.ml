@@ -10,8 +10,8 @@
    over generated fuzz bugs, with and without the injected-fault
    regime.  The only excluded fields are the two time measurements
    ([offline_time_s], and [online_time_s], which folds real server
-   CPU time into the simulated delay): they measure the host, not the
-   pipeline. *)
+   wall-clock time into the simulated delay): they measure the host,
+   not the pipeline. *)
 
 module S = Gist.Server
 

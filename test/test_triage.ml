@@ -190,7 +190,6 @@ let bugbase_spec (b : Bugbase.Common.t) =
     Svc.sp_name = b.name;
     sp_failure_type = b.failure_type;
     sp_config = { Gist.Config.default with preempt_prob = b.preempt_prob };
-    sp_ingest = S.Streaming;
     sp_oracle = Some (Experiments.Oracle.for_bug b);
     sp_program = b.program;
     sp_workload_of = b.workload_of;
@@ -462,7 +461,7 @@ let resolver specs =
   fun name -> Hashtbl.find_opt by_name name
 
 let one_shot (sp : Svc.spec) =
-  S.diagnose ~config:sp.sp_config ~ingest:sp.sp_ingest ?oracle:sp.sp_oracle
+  S.diagnose ~config:sp.sp_config ?oracle:sp.sp_oracle
     ~bug_name:sp.sp_name ~failure_type:sp.sp_failure_type
     ~program:sp.sp_program ~workload_of:sp.sp_workload_of
     ~failure:sp.sp_failure ()
