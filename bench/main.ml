@@ -7,8 +7,9 @@
    Usage: bench/main.exe [smoke|adaptive_gate|recover_soak|storm_soak]...
    (no argument runs all four).
 
-   - smoke: wire ingestion, the serve soak, kill-and-recover points, a
-     60-session chaos soak and a 120-session storm;
+   - smoke: allocation per interpreted step, wire ingestion, the serve
+     soak, kill-and-recover points, a 60-session chaos soak and a
+     120-session storm;
    - adaptive_gate: early exit against the exhaustive oracle on the
      whole Bugbase and the seed-42 fuzz campaign;
    - recover_soak: the chaos soak at 200 sessions a wave;
@@ -663,8 +664,54 @@ let adaptive_gate () =
     t.total_ad t.mean_ratio bug.name clean faulty
 
 (* ------------------------------------------------------------------ *)
+(* Allocation per interpreted step of a monitored client run: minor
+   words (this domain's, so deterministic) over [r_steps], summed over
+   20 runs of each bug under its first plan (the sigma0 slice prefix).
+   The instrumented hot path allocates only at plan sites, so a
+   per-step closure or record creeping back into the interpreter, the
+   hook dispatch or the PT recorder fails here, not just in a
+   benchmark.  Each bound is about 1.5x the bug's measured figure
+   (3.6, 8.1 and 8.8 words/step; the per-step hook path allocated 31,
+   39 and 43).  What remains is mostly boxed values and the PT decode's
+   per-instruction output, proportional to what the client reports. *)
+
+let alloc_gate () =
+  let runs = 20 in
+  List.iter
+    (fun ((bug : Bugbase.Common.t), bound) ->
+      let _, failure = Option.get (Bugbase.Common.find_target_failure bug) in
+      let plan =
+        Instrument.Place.compute bug.program
+          (Slicing.Slicer.take
+             (Slicing.Slicer.compute bug.program failure)
+             Gist.Config.default.Gist.Config.sigma0)
+      in
+      let sites = Instrument.Plan.sites plan in
+      let run c =
+        Gist.Client.run_sites ~preempt_prob:bug.preempt_prob ~sites
+          ~wp_allowed:plan.Instrument.Plan.wp_targets bug.program
+          (bug.workload_of c)
+      in
+      (* Warm the per-program caches (lowering, decode tables) first. *)
+      ignore (run 0);
+      let steps = ref 0 in
+      let w0 = Gc.minor_words () in
+      for c = 0 to runs - 1 do
+        steps := !steps + (run c).Gist.Client.r_steps
+      done;
+      let per_step = (Gc.minor_words () -. w0) /. float_of_int !steps in
+      if per_step > bound then
+        fail "alloc gate: %s allocates %.2f minor words per step (bound %.1f)"
+          bug.name per_step bound;
+      Printf.printf
+        "alloc: %s: %.2f minor words/step over %d runs, %d steps (bound %.1f)\n%!"
+        bug.name per_step runs !steps bound)
+    Bugbase.[ (Curl.bug, 5.5); (Pbzip2.bug, 12.0); (Sqlite.bug, 13.0) ]
+
+(* ------------------------------------------------------------------ *)
 
 let smoke () =
+  alloc_gate ();
   ingest_gate ();
   with_pool (fun pool ->
       serve_gate pool;

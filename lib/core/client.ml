@@ -35,13 +35,15 @@ let redact_value (v : Exec.Value.t) =
 let redact_trap (t : Hw.Watchpoint.trap) =
   { t with Hw.Watchpoint.w_value = redact_value t.w_value }
 
-(* Run one client.  [wp_allowed] is this client's share of the
-   cooperative watchpoint rotation.  [data_source] selects between the
-   paper's hardware watchpoints and the §6 PTWRITE extension (data
-   packets in the PT stream: no register budget, no rotation). *)
-let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
+(* Run one client under a compiled plan ([Instrument.Plan.sites]),
+   which a fleet compiles once per plan.  [wp_allowed] is this client's
+   share of the cooperative watchpoint rotation.  [data_source] selects
+   between the paper's hardware watchpoints and the §6 PTWRITE
+   extension (data packets in the PT stream: no register budget, no
+   rotation). *)
+let run_sites ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
     ?(data_source = Config.Watchpoints) ?(redact = false) ?tamper
-    ~(plan : Instrument.Plan.t) ~wp_allowed program
+    ~(sites : Instrument.Plan.sites) ~wp_allowed program
     (w : Exec.Interp.workload) : report =
   let counters = Exec.Cost.create () in
   let pt = Hw.Pt.create counters in
@@ -49,7 +51,7 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
   let data_via_pt = data_source = Config.Ptwrite in
   let wp_allowed = if data_via_pt then [] else wp_allowed in
   let hooks =
-    Instrument.Runtime.hooks ~data_via_pt ~plan ~pt ~wp ~wp_allowed
+    Instrument.Runtime.hooks ~data_via_pt ~sites ~pt ~wp ~wp_allowed
   in
   let result =
     Exec.Interp.run ~hooks ~counters ~max_steps ~preempt_prob program w
@@ -162,6 +164,12 @@ let run_one ?(wp_capacity = 4) ?(preempt_prob = 0.35) ?(max_steps = 400_000)
     r_steps = result.steps;
     r_pt_errors = pt_errors;
   }
+
+(* One client under a plan it compiles for itself. *)
+let run_one ?wp_capacity ?preempt_prob ?max_steps ?data_source ?redact ?tamper
+    ~plan ~wp_allowed program w =
+  run_sites ?wp_capacity ?preempt_prob ?max_steps ?data_source ?redact ?tamper
+    ~sites:(Instrument.Plan.sites plan) ~wp_allowed program w
 
 (* All statements this run is known to have executed. *)
 let executed_set r =

@@ -31,14 +31,30 @@ val failing : report -> bool
     token; other values pass through. *)
 val redact_value : Exec.Value.t -> Exec.Value.t
 
-(** [run_one ~plan ~wp_allowed program workload] runs one monitored
-    client.  [wp_allowed] is this client's share of the cooperative
+(** [run_sites ~sites ~wp_allowed program workload] runs one monitored
+    client under a plan compiled by [Instrument.Plan.sites], which a
+    caller running many clients compiles once per plan.  [wp_allowed] is this client's share of the cooperative
     watchpoint rotation.  [data_source] (default [Watchpoints]) selects
     the §6 PTWRITE extension instead of debug registers; [redact]
     (default false) hashes string values before they leave the client;
     [tamper] (fault injection) damages a thread's encoded ring bytes
     ([Hw.Pt.Wire]) before decoding, as if the PT ring pages themselves
     were harmed — [""] models a dropped ring. *)
+val run_sites :
+  ?wp_capacity:int ->
+  ?preempt_prob:float ->
+  ?max_steps:int ->
+  ?data_source:Config.data_source ->
+  ?redact:bool ->
+  ?tamper:(tid:int -> string -> string) ->
+  sites:Instrument.Plan.sites ->
+  wp_allowed:iid list ->
+  program ->
+  Exec.Interp.workload ->
+  report
+
+(** [run_one ~plan] is [run_sites ~sites:(Instrument.Plan.sites plan)],
+    for a caller that runs a single client under [plan]. *)
 val run_one :
   ?wp_capacity:int ->
   ?preempt_prob:float ->

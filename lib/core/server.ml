@@ -134,6 +134,35 @@ let wp_groups ~wp_capacity targets =
   in
   match chunks targets with [] -> [ [] ] | gs -> gs
 
+(* A plan as one iteration ships it, with everything its clients need
+   derived once: the digest reports echo, the watchpoint rotation
+   groups (client [c] arms [c mod n]; an array, so the per-client
+   lookup is O(1)) and the compiled site table the runtime hooks
+   index.  Immutable: every domain's slots read it. *)
+type shipped = {
+  p_plan : Instrument.Plan.t;
+  p_id : int;
+  p_groups : iid list array;
+  p_sites : Instrument.Plan.sites;
+}
+
+(* Pure in (config, program, tracked), so a restore rebuilds the
+   original exactly. *)
+let ship (config : Config.t) program tracked =
+  let plan =
+    Instrument.Place.compute ~enable_cf:config.Config.enable_cf
+      ~enable_df:config.Config.enable_df program tracked
+  in
+  {
+    p_plan = plan;
+    p_id = Instrument.Plan.id plan;
+    p_groups =
+      Array.of_list
+        (wp_groups ~wp_capacity:config.Config.wp_capacity
+           plan.Instrument.Plan.wp_targets);
+    p_sites = Instrument.Plan.sites plan;
+  }
+
 (* One encode arena per domain: workers (and the helping caller) reuse
    their buffers across every slot they run. *)
 let enc_arena = Parallel.Pool.worker_local (fun () -> Protocol.Encode.arena ())
@@ -181,10 +210,8 @@ module Session = struct
   type ictx = {
     x_tracked : iid list;
     x_tracked_set : IntSet.t;
-    x_plan : Instrument.Plan.t;
-    x_plan_id : int;
-    x_groups : iid list array;
-    x_prev : (Instrument.Plan.t * int * iid list array) option;
+    x_ship : shipped;
+    x_prev : shipped option;
   }
 
   (* One gathering pass (pass 1, or the quorum re-run pass 2).
@@ -259,7 +286,7 @@ module Session = struct
     mutable sim_delay : float;
     mutable prev_winner : Predict.Predictor.t option;
     mutable win_streak : int;
-    mutable prev_plan : (Instrument.Plan.t * int * iid list array) option;
+    mutable prev_plan : shipped option;
     (* per-iteration state, reset by [begin_iteration] *)
     mutable fails : int;
     mutable succs : int;
@@ -356,10 +383,7 @@ module Session = struct
             first iteration there is no previous plan to be stale
             against. *)
          let stale = inj.Faults.Fault.j_stale_plan && ctx.x_prev <> None in
-         let use_plan, use_plan_id, use_groups =
-           if stale then Option.get ctx.x_prev
-           else (ctx.x_plan, ctx.x_plan_id, ctx.x_groups)
-         in
+         let use = if stale then Option.get ctx.x_prev else ctx.x_ship in
          if stale then kinds := Faults.Fault.Stale_plan :: !kinds;
          (* Ring damage lands on the encoded bytes ([Hw.Pt.Wire]),
             the form the ring actually takes on a client. *)
@@ -388,14 +412,15 @@ module Session = struct
            kinds := Faults.Fault.Pt_truncate :: !kinds;
          if inj.Faults.Fault.j_pt_corrupt <> None then
            kinds := Faults.Fault.Pt_corrupt :: !kinds;
-         let n_g = Array.length use_groups in
+         let n_g = Array.length use.p_groups in
          let report =
-           Client.run_one ~wp_capacity:config.Config.wp_capacity
+           Client.run_sites ~wp_capacity:config.Config.wp_capacity
              ~preempt_prob:config.Config.preempt_prob
              ~max_steps:config.Config.max_steps
              ~data_source:config.Config.data_source
-             ~redact:config.Config.redact_values ?tamper ~plan:use_plan
-             ~wp_allowed:use_groups.(c mod n_g) t.program (t.workload_of c)
+             ~redact:config.Config.redact_values ?tamper ~sites:use.p_sites
+             ~wp_allowed:use.p_groups.(c mod n_g) t.program
+             (t.workload_of c)
          in
          (* Watchpoint-log corruption: either in-ring (pre-seal, so
             the digest matches the damaged payload and only the
@@ -428,7 +453,7 @@ module Session = struct
             position below is independent of which session this is. *)
          let bytes =
            Protocol.Encode.encode (enc_arena ()) ~session:t.s_id ~client:c
-             ~plan_id:use_plan_id report
+             ~plan_id:use.p_id report
          in
          let bytes =
            match flip_salt with
@@ -437,7 +462,7 @@ module Session = struct
          in
          match
            Protocol.Encode.ingest ~session:t.s_id ~n_instrs
-             ~plan_id:ctx.x_plan_id bytes
+             ~plan_id:ctx.x_ship.p_id bytes
          with
          | Ok r ->
            let sv_matches = r.Client.r_signature = Some t.target_sig in
@@ -537,19 +562,7 @@ module Session = struct
       List.sort_uniq compare
         (Slicing.Slicer.take t.slice t.sigma @ IntSet.elements t.discovered)
     in
-    let plan =
-      Instrument.Place.compute ~enable_cf:t.config.Config.enable_cf
-        ~enable_df:t.config.Config.enable_df t.program tracked
-    in
-    (* Client [c] arms rotation group [c mod n]: precomputed as an
-       array -- the per-client [List.nth] lookup was O(groups) on the
-       fleet hot path. *)
-    let groups =
-      Array.of_list
-        (wp_groups ~wp_capacity:t.config.Config.wp_capacity
-           plan.Instrument.Plan.wp_targets)
-    in
-    let plan_id = Instrument.Plan.id plan in
+    let ship = ship t.config t.program tracked in
     let prev = t.prev_plan in
     t.offline_time <- t.offline_time +. (Unix.gettimeofday () -. t0);
     t.fails <- 0;
@@ -568,9 +581,7 @@ module Session = struct
       {
         x_tracked = tracked;
         x_tracked_set = IntSet.of_list tracked;
-        x_plan = plan;
-        x_plan_id = plan_id;
-        x_groups = groups;
+        x_ship = ship;
         x_prev = prev;
       }
     in
@@ -588,7 +599,7 @@ module Session = struct
     t.f_rejected <- t.f_rejected + t.it_rejected;
     t.f_retried <- t.f_retried + t.it_retried;
     t.f_quarantined <- t.f_quarantined + t.it_quarantined;
-    t.prev_plan <- Some (ctx.x_plan, ctx.x_plan_id, ctx.x_groups);
+    t.prev_plan <- Some ctx.x_ship;
     (* --- refinement (§3.2): keep tracked statements that executed in
        failing runs; adopt watchpoint-discovered statements the
        alias-free slice missed.
@@ -1341,7 +1352,7 @@ module Session = struct
        id and groups are recomputed at restore. *)
     put_opt b
       (fun b (tracked : iid list) -> put_list b (fun b i -> W.put_uint b i) tracked)
-      (Option.map (fun (p, _, _) -> p.Instrument.Plan.tracked) t.prev_plan);
+      (Option.map (fun p -> p.p_plan.Instrument.Plan.tracked) t.prev_plan);
     (* Per-iteration state. *)
     W.put_uint b t.fails;
     W.put_uint b t.succs;
@@ -1529,20 +1540,8 @@ module Session = struct
                    so the restored plans, ids and groups are the bytes'
                    exact originals. *)
                 let t0 = Unix.gettimeofday () in
-                let plan_of tracked =
-                  let plan =
-                    Instrument.Place.compute ~enable_cf:config.Config.enable_cf
-                      ~enable_df:config.Config.enable_df program tracked
-                  in
-                  let groups =
-                    Array.of_list
-                      (wp_groups ~wp_capacity:config.Config.wp_capacity
-                         plan.Instrument.Plan.wp_targets)
-                  in
-                  (plan, Instrument.Plan.id plan, groups)
-                in
-                let prev_plan = Option.map plan_of prev_tracked in
-                let plan, plan_id, groups = plan_of x_tracked in
+                let prev_plan = Option.map (ship config program) prev_tracked in
+                let x_ship = ship config program x_tracked in
                 let slice = Slicing.Slicer.compute program failure in
                 let t =
                   {
@@ -1612,9 +1611,7 @@ module Session = struct
                             {
                               x_tracked;
                               x_tracked_set = IntSet.of_list x_tracked;
-                              x_plan = plan;
-                              x_plan_id = plan_id;
-                              x_groups = groups;
+                              x_ship;
                               x_prev = prev_plan;
                             };
                           g_base;

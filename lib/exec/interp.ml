@@ -32,6 +32,7 @@ type pre_ctx = {
 }
 
 type hooks = {
+  mutable pre_sites : bool array;
   mutable pre_instr : pre_ctx -> unit;
   mutable mem_access :
     tid:int -> instr:instr -> addr:int -> rw:rw -> value:Value.t -> unit;
@@ -46,8 +47,15 @@ type hooks = {
    record (and its [read_reg] closure) when nobody is listening. *)
 let ignore_pre_instr : pre_ctx -> unit = fun _ -> ()
 
+(* Does [pre_instr] fire at [iid]?  Everywhere under an empty mask,
+   else only where the mask is set. *)
+let pre_site h iid =
+  let n = Array.length h.pre_sites in
+  n = 0 || (iid >= 0 && iid < n && Array.unsafe_get h.pre_sites iid)
+
 let no_hooks () =
   {
+    pre_sites = [||];
     pre_instr = ignore_pre_instr;
     mem_access = (fun ~tid:_ ~instr:_ ~addr:_ ~rw:_ ~value:_ -> ());
     branch = (fun ~tid:_ ~instr:_ ~taken:_ -> ());
@@ -147,6 +155,18 @@ let current_linstr t =
   match t.frames with
   | [] -> None
   | f :: _ -> Some f.lf.L.lf_blocks.(f.blk).(f.idx)
+
+(* Preemption probability at [t]'s next instruction.  Reads the frame
+   directly: the scheduler asks on every step, and [current_linstr]'s
+   option would be an allocation per step. *)
+let preempt_p st t =
+  match t.frames with
+  | [] -> 0.02
+  | f :: _ ->
+    let li = f.lf.L.lf_blocks.(f.blk).(f.idx) in
+    if li.L.li_yield then 0.9
+    else if li.L.li_interesting then st.preempt_prob
+    else 0.02
 
 let stack_trace t = List.map (fun f -> f.lf.L.lf_name) t.frames
 
@@ -307,52 +327,53 @@ let do_builtin st fr dst (op : L.builtin_op) name (args : Value.t array) =
   in
   match dst with Some s -> fr.regs.(s) <- v | None -> ()
 
+let advance fr = fr.idx <- fr.idx + 1
+
 (* Execute one instruction of thread [t].  Blocking instructions leave
    the position unchanged and flip the thread status; the scheduler
    retries them when they become eligible again. *)
 let exec_instr st t (li : L.linstr) =
   let fr = frame_of t in
-  let advance () = fr.idx <- fr.idx + 1 in
   match li.L.li_kind with
   | LAssign (s, e) ->
     fr.regs.(s) <- eval_expr fr e;
-    advance ()
+    advance fr
   | LLoad (s, base, off) ->
     let addr = resolve_addr (eval_operand fr base) off in
     fr.regs.(s) <- do_load st t li addr;
-    advance ()
+    advance fr
   | LStore (base, off, v) ->
     let addr = resolve_addr (eval_operand fr base) off in
     do_store st t li addr (eval_operand fr v);
-    advance ()
+    advance fr
   | LLoad_global (s, gi) ->
     let addr = st.gaddrs.(gi) in
     fr.regs.(s) <- do_load st t li addr;
-    advance ()
+    advance fr
   | LStore_global (gi, v) ->
     let addr = st.gaddrs.(gi) in
     do_store st t li addr (eval_operand fr v);
-    advance ()
+    advance fr
   | LMalloc (s, n) ->
     fr.regs.(s) <- VPtr (Memory.alloc st.mem n);
-    advance ()
+    advance fr
   | LFree p -> (
     match eval_operand fr p with
     | VPtr base -> (
       match Memory.free st.mem base with
       | Error e -> mem_fail_to_crash "free" e
-      | Ok () -> advance ())
-    | VNull -> advance () (* free(NULL) is a no-op, as in C *)
+      | Ok () -> advance fr)
+    | VNull -> advance fr (* free(NULL) is a no-op, as in C *)
     | v -> crash (Type_error "free of non-pointer") (Value.to_string v))
   | LCall (dst, fidx, args) ->
     let values = eval_args fr args in
-    advance ();
+    advance fr;
     t.frames <-
       bind_frame ~what:"calling" st.low.L.l_funcs.(fidx) values dst
       :: t.frames
   | LBuiltin (dst, op, name, args) ->
     do_builtin st fr dst op name (eval_args fr args);
-    advance ()
+    advance fr
   | LJmp b ->
     fr.blk <- b;
     fr.idx <- 0
@@ -381,7 +402,7 @@ let exec_instr st t (li : L.linstr) =
     let values = eval_args fr args in
     let tid = spawn_thread st fidx values in
     fr.regs.(s) <- VTid tid;
-    advance ()
+    advance fr
   | LJoin target -> (
     match eval_operand fr target with
     | VTid tid -> (
@@ -389,7 +410,7 @@ let exec_instr st t (li : L.linstr) =
       | Some th when th.status <> Finished ->
         t.status <- Blocked_join tid;
         st.elig_dirty <- true
-      | _ -> advance ())
+      | _ -> advance fr)
     | v -> crash (Type_error "join of non-thread") (Value.to_string v))
   | LLock m -> (
     let addr =
@@ -408,7 +429,7 @@ let exec_instr st t (li : L.linstr) =
     | _ ->
       Hashtbl.replace st.locks addr (Some t.tid);
       st.elig_dirty <- true;
-      advance ())
+      advance fr)
   | LUnlock m ->
     let addr =
       match eval_operand fr m with
@@ -421,9 +442,9 @@ let exec_instr st t (li : L.linstr) =
      | Ok () -> ());
     Hashtbl.replace st.locks addr None;
     st.elig_dirty <- true;
-    advance ()
+    advance fr
   | LAssert (c, msg) ->
-    if truthy (eval_operand fr c) then advance ()
+    if truthy (eval_operand fr c) then advance fr
     else crash (Assert_fail msg) msg
 
 (* ------------------------------------------------------------------ *)
@@ -585,21 +606,17 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
             elig.(Rng.int st.rng (Array.length elig))
           end
           else
-            let t = st.thread_arr.(!current) in
-            let p =
-              match current_linstr t with
-              | Some li when li.L.li_yield -> 0.9
-              | Some li when li.L.li_interesting -> st.preempt_prob
-              | _ -> 0.02
-            in
+            let p = preempt_p st st.thread_arr.(!current) in
             let n = Array.length elig in
-            if n > 1 && Rng.float st.rng < p then begin
+            if n > 1 && Rng.below st.rng p then begin
               (* Index into [elig] minus the current thread, without
                  materialising the filtered list: same Rng draw (bound
                  [n - 1]), same element the [List.filter]+[List.nth]
                  version picked. *)
               let cur_at = ref 0 in
-              Array.iteri (fun i x -> if x = !current then cur_at := i) elig;
+              for i = 0 to n - 1 do
+                if elig.(i) = !current then cur_at := i
+              done;
               st.counters.sched_switches <- st.counters.sched_switches + 1;
               let j = Rng.int st.rng (n - 1) in
               elig.(if j >= !cur_at then j + 1 else j)
@@ -615,17 +632,19 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
         (match t.status with
          | Blocked_lock _ | Blocked_join _ -> t.status <- Runnable
          | _ -> ());
-        (match current_linstr t with
-         | None ->
+        (match t.frames with
+         | [] ->
            t.status <- Finished;
            st.elig_dirty <- true
-         | Some li -> (
+         | fr :: _ -> (
+           let li = fr.lf.L.lf_blocks.(fr.blk).(fr.idx) in
            incr steps;
            st.counters.instrs <- st.counters.instrs + 1;
            if st.record_gt then
              st.gt_executed <- (tid, li.L.li_iid) :: st.gt_executed;
-           if st.hooks.pre_instr != ignore_pre_instr then begin
-             let fr = frame_of t in
+           if st.hooks.pre_instr != ignore_pre_instr
+              && pre_site st.hooks li.L.li_iid
+           then begin
              let ctx =
                {
                  ctx_tid = tid;

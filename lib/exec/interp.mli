@@ -21,13 +21,23 @@ type pre_ctx = {
 }
 
 (** Observation callbacks, all no-ops by default ({!no_hooks}).
-    [pre_instr] fires before every instruction (including retries of
-    blocked lock/join); [mem_access] on every shared load/store;
-    [branch] on conditional branches with the taken direction; [ret]
-    on returns with the caller resume point ([None] at thread exit);
-    [step] once per executed instruction; [sched] with each scheduling
+
+    [pre_instr] fires before an instruction (including retries of
+    blocked lock/join) at the sites [pre_sites] selects: an iid-indexed
+    mask, where an empty mask ([no_hooks]' default) means every
+    instruction and a non-empty one means exactly the iids it sets
+    (iids past its end are not sites).  The [pre_ctx] record and its
+    closures are built only where [pre_instr] fires, so an
+    instrumentation plan pays for its sites and nowhere else.
+
+    [mem_access] fires on every shared load/store; [branch] on
+    conditional branches with the taken direction; [ret] on returns
+    with the caller resume point ([None] at thread exit); [step] once
+    per executed instruction, immediately after [pre_instr] with
+    nothing observable in between; [sched] with each scheduling
     choice. *)
 type hooks = {
+  mutable pre_sites : bool array;
   mutable pre_instr : pre_ctx -> unit;
   mutable mem_access :
     tid:int -> instr:instr -> addr:int -> rw:rw -> value:Value.t -> unit;
@@ -38,6 +48,10 @@ type hooks = {
 }
 
 val no_hooks : unit -> hooks
+
+(** [pre_site hooks iid]: does [pre_instr] fire at [iid] under
+    [hooks.pre_sites]? *)
+val pre_site : hooks -> iid -> bool
 
 (** A production workload: arguments bound to main's parameters and the
     scheduling seed. *)

@@ -501,16 +501,18 @@ let run ?hooks ?counters ?pick ?(max_steps = 400_000) ?(record_gt = false)
            incr steps;
            st.counters.instrs <- st.counters.instrs + 1;
            if st.record_gt then st.gt_executed <- (tid, i.iid) :: st.gt_executed;
-           let fr = frame_of t in
-           let ctx =
-             {
-               ctx_tid = tid;
-               ctx_instr = i;
-               read_reg = (fun r -> Hashtbl.find_opt fr.regs r);
-               global_addr = (fun g -> Hashtbl.find_opt st.globals g);
-             }
-           in
-           st.hooks.pre_instr ctx;
+           if pre_site st.hooks i.iid then begin
+             let fr = frame_of t in
+             let ctx =
+               {
+                 ctx_tid = tid;
+                 ctx_instr = i;
+                 read_reg = (fun r -> Hashtbl.find_opt fr.regs r);
+                 global_addr = (fun g -> Hashtbl.find_opt st.globals g);
+               }
+             in
+             st.hooks.pre_instr ctx
+           end;
            st.hooks.step ~tid ~instr:i;
            try exec_instr st t i
            with Crash (kind, msg) ->

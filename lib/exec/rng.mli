@@ -13,4 +13,7 @@ val int : t -> int -> int
 (** Uniform float in [\[0, 1)]. *)
 val float : t -> float
 
+(** [below t p] is [float t < p] (the same draw), without allocating. *)
+val below : t -> float -> bool
+
 val bool : t -> bool

@@ -66,35 +66,47 @@ type stream = {
   mutable last_pc : int;         (* last pc seen while enabled (FUP) *)
 }
 
+(* Streams by tid: tids are dense (the interpreter hands them out in
+   order), so a growable array indexed by tid replaces a Hashtbl.  A
+   slot holds [None] until its thread's first touch creates the
+   stream. *)
 type recorder = {
   counters : Exec.Cost.t;
-  streams : (int, stream) Hashtbl.t;
+  mutable streams : stream option array;
   mutable tsc : int; (* global timestamp counter for PTW packets *)
 }
-
-let create counters = { counters; streams = Hashtbl.create 8; tsc = 0 }
 
 (* The array slots beyond [len] need a placeholder; PGD (-1) is as good
    as any and never read. *)
 let placeholder = PGD (-1)
 
+let create counters = { counters; streams = Array.make 8 None; tsc = 0 }
+
+let new_stream r tid =
+  let cap = Array.length r.streams in
+  if tid >= cap then begin
+    let bigger = Array.make (max (2 * cap) (tid + 1)) None in
+    Array.blit r.streams 0 bigger 0 cap;
+    r.streams <- bigger
+  end;
+  let s =
+    {
+      s_tid = tid;
+      enabled = false;
+      buf = Array.make 64 placeholder;
+      len = 0;
+      tnt_buf = Array.make 8 false;
+      tnt_len = 0;
+      last_pc = -1;
+    }
+  in
+  r.streams.(tid) <- Some s;
+  s
+
+(* Tids are non-negative; a negative one raises [Invalid_argument]. *)
 let stream r tid =
-  match Hashtbl.find_opt r.streams tid with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        s_tid = tid;
-        enabled = false;
-        buf = Array.make 64 placeholder;
-        len = 0;
-        tnt_buf = Array.make 8 false;
-        tnt_len = 0;
-        last_pc = -1;
-      }
-    in
-    Hashtbl.replace r.streams tid s;
-    s
+  if tid >= Array.length r.streams then new_stream r tid
+  else match r.streams.(tid) with Some s -> s | None -> new_stream r tid
 
 let emit r s p =
   if s.len = Array.length s.buf then begin
@@ -182,21 +194,24 @@ let on_data r ~tid ~iid ~addr ~rw ~value =
    The PGD carries -1: the decoder stops at the last packet-backed
    position, like a real decoder facing a truncated trace. *)
 let finish r =
-  Hashtbl.iter
-    (fun _ s ->
-      if s.enabled then begin
+  Array.iter
+    (function
+      | Some s when s.enabled ->
         flush_tnt r s;
         emit r s (PGD s.last_pc);
         s.enabled <- false
-      end)
+      | _ -> ())
     r.streams
 
 let packets_of r tid =
   let s = stream r tid in
   Array.to_list (Array.sub s.buf 0 s.len)
 
+(* Ascending by construction: the table is indexed by tid. *)
 let all_tids r =
-  Hashtbl.fold (fun tid _ acc -> tid :: acc) r.streams [] |> List.sort compare
+  Array.fold_right
+    (fun s acc -> match s with Some s -> s.s_tid :: acc | None -> acc)
+    r.streams []
 
 (* ------------------------------------------------------------------ *)
 (* Typed decode faults, shared by the byte-level ring codec below and

@@ -48,7 +48,10 @@ val packet_bytes : packet -> int
 type recorder
 
 (** [create counters] — trace volume and toggles account into
-    [counters]. *)
+    [counters].  Streams are held in a growable array indexed by tid
+    (tids are dense and non-negative; a negative one raises
+    [Invalid_argument]), each created on its thread's first touch by
+    any function below. *)
 val create : Exec.Cost.t -> recorder
 
 val enabled : recorder -> int -> bool
@@ -79,6 +82,8 @@ val on_ret : recorder -> tid:int -> resume:iid option -> unit
 val finish : recorder -> unit
 
 val packets_of : recorder -> int -> packet list
+
+(** The tids that have a stream, ascending. *)
 val all_tids : recorder -> int list
 
 (** Typed decode faults for damaged streams, shared by the byte-level

@@ -27,6 +27,31 @@ let add_action t iid a =
 
 let actions_at t iid = Option.value ~default:[] (Hashtbl.find_opt t.actions iid)
 
+(* The plan compiled for the runtime, iid-indexed: its actions, the
+   mask of iids that carry any, and its watchpoint targets.  The mask
+   is never empty (an empty plan compiles to [[|false|]]), so it never
+   reads as "every instruction". *)
+type sites = {
+  site_actions : action list array;
+  site_mask : bool array;
+  site_wp : bool array;
+}
+
+let sites t =
+  let n = Hashtbl.fold (fun iid _ n -> max n (iid + 1)) t.actions 1 in
+  let n = List.fold_left (fun n iid -> max n (iid + 1)) n t.wp_targets in
+  let site_actions = Array.make n [] and site_mask = Array.make n false in
+  Hashtbl.iter
+    (fun iid acts ->
+      if acts <> [] then begin
+        site_actions.(iid) <- acts;
+        site_mask.(iid) <- true
+      end)
+    t.actions;
+  let site_wp = Array.make n false in
+  List.iter (fun iid -> site_wp.(iid) <- true) t.wp_targets;
+  { site_actions; site_mask; site_wp }
+
 let n_actions t = Hashtbl.fold (fun _ l acc -> acc + List.length l) t.actions 0
 
 (* A stable content digest (splitmix64-style avalanche fold over the

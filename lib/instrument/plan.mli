@@ -23,6 +23,23 @@ val add_action : t -> iid -> action -> unit
 
 val actions_at : t -> iid -> action list
 
+(** A plan compiled for the runtime, indexed by iid:
+    [site_actions.(iid)] is [actions_at plan iid], [site_mask.(iid)]
+    holds exactly where that list is non-empty, and [site_wp.(iid)]
+    exactly at the plan's [wp_targets].  Iids past the arrays' end
+    carry nothing.  The mask is never empty, so as an
+    {!Exec.Interp.hooks} site mask it never means "every
+    instruction". *)
+type sites = {
+  site_actions : action list array;
+  site_mask : bool array;
+  site_wp : bool array;
+}
+
+(** [sites plan] compiles [plan]; later {!add_action}s are not seen.
+    Compile once and share the table: it is never mutated. *)
+val sites : t -> sites
+
 (** Total number of patch points (for reporting). *)
 val n_actions : t -> int
 

@@ -6,17 +6,21 @@
     resolvable (its base register holds a pointer / the global exists). *)
 val addr_of_access : Exec.Interp.pre_ctx -> int option
 
-(** [hooks ~plan ~pt ~wp ~wp_allowed] interprets [plan].  [wp_allowed]
-    restricts which watchpoint targets this client arms — the
-    cooperative rotation of §3.2.3 when the tracked slice touches more
-    addresses than the debug-register budget.  With [data_via_pt],
-    every tracked memory access additionally emits a PTWRITE data
-    packet while traced — the §6 hardware extension that makes
-    watchpoints unnecessary (pass an empty [wp_allowed] to disable them
-    entirely). *)
+(** [hooks ~sites ~pt ~wp ~wp_allowed] interprets the plan compiled
+    into [sites] ({!Plan.sites}).  [wp_allowed] restricts which
+    watchpoint targets this client arms — the cooperative rotation of
+    §3.2.3 when the tracked slice touches more addresses than the
+    debug-register budget.  With [data_via_pt], every tracked memory
+    access additionally emits a PTWRITE data packet while traced — the
+    §6 hardware extension that makes watchpoints unnecessary (pass an
+    empty [wp_allowed] to disable them entirely).
+
+    [pre_instr] fires only at the plan's sites ([sites.site_mask]
+    becomes the hooks' site mask); per-instruction PT pc tracking runs
+    in [step]. *)
 val hooks :
   data_via_pt:bool ->
-  plan:Plan.t ->
+  sites:Plan.sites ->
   pt:Hw.Pt.recorder ->
   wp:Hw.Watchpoint.t ->
   wp_allowed:Ir.Types.iid list ->

@@ -142,6 +142,175 @@ let gen_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Plan-driven hooks: the production path.  Each Bugbase bug's sigma0
+   and 2*sigma0 plans (slice prefix -> placement) run on both engines
+   under [Instrument.Runtime.hooks], whose [pre_instr] fires only at
+   the plan's sites.  Clients split the watchpoint targets into two
+   rotation groups, and one more run takes the PTWRITE path.  Asserted
+   equal: outcome, every thread's PT ring bytes, the watchpoint trap
+   log and every cost counter. *)
+
+let plan_seeds = [ 0; 7; 42 ]
+
+let two_groups targets =
+  let half = max 1 ((List.length targets + 1) / 2) in
+  Gist.Server.wp_groups ~wp_capacity:half targets
+
+let check_plan_engines name ~preempt_prob ~data_via_pt ~sites ~wp_allowed
+    program workload =
+  let run engine =
+    let counters = Exec.Cost.create () in
+    let pt = Hw.Pt.create counters in
+    let wp = Hw.Watchpoint.create counters in
+    let hooks =
+      Instrument.Runtime.hooks ~data_via_pt ~sites ~pt ~wp ~wp_allowed
+    in
+    let res : I.result = engine ~hooks ~counters program workload in
+    Hw.Pt.finish pt;
+    let rings =
+      List.map (fun tid -> (tid, Hw.Pt.wire_of pt tid)) (Hw.Pt.all_tids pt)
+    in
+    (res.I.outcome, rings, Hw.Watchpoint.traps wp, counters)
+  in
+  let o_ref, rings_ref, traps_ref, c_ref =
+    run (fun ~hooks ~counters p w ->
+        Exec.Refinterp.run ~hooks ~counters ~preempt_prob p w)
+  in
+  let o_low, rings_low, traps_low, c_low =
+    run (fun ~hooks ~counters p w -> I.run ~hooks ~counters ~preempt_prob p w)
+  in
+  Alcotest.(check bool) (name ^ ": outcome") true (o_ref = o_low);
+  Alcotest.(check (list (pair int string)))
+    (name ^ ": PT rings") rings_ref rings_low;
+  Alcotest.(check bool) (name ^ ": watchpoint traps") true
+    (traps_ref = traps_low);
+  check_counters name c_ref c_low
+
+let plan_cases =
+  List.map
+    (fun (bug : Bugbase.Common.t) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s: sigma0 and 2*sigma0 plans" bug.name)
+        `Quick (fun () ->
+          let _, failure = Option.get (Bugbase.Common.find_target_failure bug) in
+          let slice = Slicing.Slicer.compute bug.program failure in
+          let sigma0 = Gist.Config.default.Gist.Config.sigma0 in
+          List.iter
+            (fun sigma ->
+              let plan =
+                Instrument.Place.compute bug.program
+                  (Slicing.Slicer.take slice sigma)
+              in
+              let sites = Instrument.Plan.sites plan in
+              let targets = plan.Instrument.Plan.wp_targets in
+              let modes =
+                List.mapi
+                  (fun g group -> (Printf.sprintf "group %d" g, false, group))
+                  (two_groups targets)
+                @ [ ("ptwrite", true, []) ]
+              in
+              List.iter
+                (fun seed ->
+                  List.iter
+                    (fun (mode, data_via_pt, wp_allowed) ->
+                      check_plan_engines
+                        (Printf.sprintf "%s/sigma %d/%s/seed %d" bug.name sigma
+                           mode seed)
+                        ~preempt_prob:bug.preempt_prob ~data_via_pt ~sites
+                        ~wp_allowed bug.program (bug.workload_of seed))
+                    modes)
+                plan_seeds)
+            [ sigma0; 2 * sigma0 ]))
+    Bugbase.Registry.all
+
+(* ------------------------------------------------------------------ *)
+(* Site gating is unobservable: a client run whose [pre_instr] fires
+   only at the plan's sites reports exactly what the same run reports
+   with the mask emptied, so [pre_instr] fires before every
+   instruction.  Covers the Bugbase under each bug's sigma0 plan and
+   50 generated bugs under a plan tracking every third instruction, at
+   scheduling seeds 7, 42 and 99. *)
+
+let gating_seeds = [ 7; 42; 99 ]
+
+let check_gating name ~preempt_prob ~plan program workload =
+  let sites = Instrument.Plan.sites plan in
+  let plan_id = Instrument.Plan.id plan in
+  let report sites =
+    let r =
+      Gist.Client.run_sites ~preempt_prob ~sites
+        ~wp_allowed:plan.Instrument.Plan.wp_targets program workload
+    in
+    let bytes =
+      Gist.Protocol.Encode.encode
+        (Gist.Protocol.Encode.arena ())
+        ~client:0 ~plan_id r
+    in
+    (r, bytes)
+  in
+  let g, g_bytes = report sites in
+  let u, u_bytes =
+    report { sites with Instrument.Plan.site_mask = [||] }
+  in
+  let open Gist.Client in
+  Alcotest.(check bool) (name ^ ": outcome") true (g.r_outcome = u.r_outcome);
+  Alcotest.(check (list (pair int (list int))))
+    (name ^ ": executed") u.r_executed g.r_executed;
+  Alcotest.(check (list (pair int bool)))
+    (name ^ ": branches") u.r_branches g.r_branches;
+  Alcotest.(check bool) (name ^ ": traps") true (g.r_traps = u.r_traps);
+  check_counters name u.r_counters g.r_counters;
+  Alcotest.(check bool) (name ^ ": pt errors") true
+    (g.r_pt_errors = u.r_pt_errors);
+  Alcotest.(check int) (name ^ ": steps") u.r_steps g.r_steps;
+  Alcotest.(check string) (name ^ ": wire bytes") u_bytes g_bytes
+
+let gating_cases =
+  [
+    Alcotest.test_case "Bugbase under sigma0 plans" `Quick (fun () ->
+        List.iter
+          (fun (bug : Bugbase.Common.t) ->
+            let _, failure =
+              Option.get (Bugbase.Common.find_target_failure bug)
+            in
+            let plan =
+              Instrument.Place.compute bug.program
+                (Slicing.Slicer.take
+                   (Slicing.Slicer.compute bug.program failure)
+                   Gist.Config.default.Gist.Config.sigma0)
+            in
+            List.iter
+              (fun seed ->
+                check_gating
+                  (Printf.sprintf "%s/seed %d" bug.name seed)
+                  ~preempt_prob:bug.preempt_prob ~plan bug.program
+                  (bug.workload_of seed))
+              gating_seeds)
+          Bugbase.Registry.all);
+    Alcotest.test_case "50 generated bugs" `Quick (fun () ->
+        let patterns = Array.of_list Fuzz.Gen.all_patterns in
+        for i = 0 to 49 do
+          let case =
+            Fuzz.Gen.generate patterns.(i mod Array.length patterns) (1000 + i)
+          in
+          let program = case.Fuzz.Gen.c_program in
+          let tracked =
+            Ir.Program.all_instrs program
+            |> List.filteri (fun k _ -> k mod 3 = 0)
+            |> List.map (fun (x : Ir.Types.instr) -> x.iid)
+          in
+          let plan = Instrument.Place.compute program tracked in
+          List.iter
+            (fun seed ->
+              check_gating
+                (Printf.sprintf "%s/seed %d" case.Fuzz.Gen.c_name seed)
+                ~preempt_prob:case.Fuzz.Gen.c_preempt ~plan program
+                (Fuzz.Gen.workload_of case seed))
+            gating_seeds
+        done);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Unknown labels are a load-time [Lower_error], not a runtime crash. *)
 
 let contains ~sub s =
@@ -341,5 +510,7 @@ let () =
     [
       ("bugbase", bugbase_cases);
       ("generated", gen_cases);
+      ("plan-hooks", plan_cases);
+      ("site-gating", gating_cases);
       ("lower-errors", lower_errors);
     ]

@@ -212,6 +212,84 @@ let determinism =
            f >= 0.0 && f < 1.0));
   ]
 
+(* The splitmix64 stream, pinned bit for bit.  Every schedule, fault
+   draw and storm is a function of it, so a change of the generator's
+   state representation must reproduce these exactly.  Per seed: the
+   first 16 [next] values, then [int] at bounds 1, 2, 7, 1000, max_int,
+   0 and -3 (the last two draw nothing), three [float]s and four
+   [bool]s, in that order on one generator. *)
+let rng_pins =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+        -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+        3207296026000306913L; -4214222208109204676L; 4532161160992623299L;
+        -884877559730491226L; 7313543279846440201L; -4408136866661146890L;
+        -8781561602181964933L; -8205710985559103185L; -5382347917484077799L;
+        -8882435919750266709L ],
+      [ 0; 0; 6; 676; 1945942252069822168; 0; 0 ],
+      [ 0x1.52071524304bep-1; 0x1.dbebe3b21b945p-1; 0x1.5125ab59ef498p-2 ],
+      [ true; true; false; false ] );
+    ( 42,
+      [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L;
+        6349198060258255764L; 701532786141963250L; -2430762948046562554L;
+        4028864712777624925L; -3677692746721775708L; 6270620877612482005L;
+        -7037763681458882642L; 3779771651426294207L; 9094045341461139646L;
+        -8976257307478440218L; -8854191821003330121L; -6176718654468026660L;
+        3752715396868486130L ],
+      [ 0; 1; 4; 200; 3824475599164253161; 0; 0 ],
+      [ 0x1.2b3a6dd261f68p-4; 0x1.331b1f6201942p-1; 0x1.3d58eba8a8e99p-1 ],
+      [ false; true; true; true ] );
+    ( -1,
+      [ -1956407806741107680L; -1612297016619662647L; 4048727598324417001L;
+        7862637804313477842L; -5431262886246717010L; -3234237927366542541L;
+        -1058577943711170651L; 4638043754431676516L; -4251777345030058876L;
+        224706085343030812L; 266333147328794389L; -3569848917358912089L;
+        128728123335686875L; -2481235938269979510L; 3840741419012094145L;
+        -5985669572966075160L ],
+      [ 0; 0; 5; 1; 2111043061542320190; 0; 0 ],
+      [ 0x1.58598ccf3747p-1; 0x1.e2828fac5b05cp-2; 0x1.8dd7e30e83b88p-3 ],
+      [ false; false; false; true ] );
+    ( max_int,
+      [ 4890637089070741670L; 1157452369933151741L; -643383930175548127L;
+        7976771587059178518L; -5092280845031213240L; -2271687024784822601L;
+        -4834145098101050242L; 571570269043650935L; 2248756305882784531L;
+        4249374333724668194L; 7127797772459821446L; 5019922818526568649L;
+        4189865611740122186L; 9187498658810167874L; -6043254574774199899L;
+        5525715937901616142L ],
+      [ 0; 0; 4; 456; 3123978826556395976; 0; 0 ],
+      [ 0x1.a80aeecfb1f09p-1; 0x1.40c38a207ebcp-7; 0x1.dadedfa07ed18p-3 ],
+      [ true; false; true; true ] );
+  ]
+
+let rng_stream =
+  List.map
+    (fun (seed, nexts, ints, floats, bools) ->
+      Alcotest.test_case (Printf.sprintf "rng stream pinned at seed %d" seed)
+        `Quick (fun () ->
+          let rng = Exec.Rng.create seed in
+          List.iteri
+            (fun k v ->
+              Alcotest.(check int64) (Printf.sprintf "next %d" k) v
+                (Exec.Rng.next rng))
+            nexts;
+          List.iter2
+            (fun bound v ->
+              Alcotest.(check int) (Printf.sprintf "int %d" bound) v
+                (Exec.Rng.int rng bound))
+            [ 1; 2; 7; 1000; max_int; 0; -3 ] ints;
+          List.iteri
+            (fun k v ->
+              Alcotest.(check (float 0.0)) (Printf.sprintf "float %d" k) v
+                (Exec.Rng.float rng))
+            floats;
+          List.iteri
+            (fun k v ->
+              Alcotest.(check bool) (Printf.sprintf "bool %d" k) v
+                (Exec.Rng.bool rng))
+            bools))
+    rng_pins
+
 let builtins =
   let module B = Ir.Builder in
   let i = B.file "b.c" in
@@ -314,6 +392,7 @@ let () =
       ("memory", memory);
       ("threading", threading);
       ("determinism", determinism);
+      ("rng-stream", rng_stream);
       ("builtins", builtins);
       ("cost-model", cost_model);
       ("forced-schedule", forced_schedule);

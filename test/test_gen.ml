@@ -74,8 +74,8 @@ let coverage_props =
         let pt = Hw.Pt.create counters in
         let wp = Hw.Watchpoint.create counters in
         let hooks =
-          Instrument.Runtime.hooks ~data_via_pt:false ~plan ~pt ~wp
-            ~wp_allowed:[]
+          Instrument.Runtime.hooks ~data_via_pt:false
+            ~sites:(Instrument.Plan.sites plan) ~pt ~wp ~wp_allowed:[]
         in
         let res =
           Exec.Interp.run ~hooks ~counters ~record_gt:true ~max_steps:100_000
@@ -191,8 +191,8 @@ let mt_props =
         let pt = Hw.Pt.create counters in
         let wp = Hw.Watchpoint.create counters in
         let hooks =
-          Instrument.Runtime.hooks ~data_via_pt:false ~plan ~pt ~wp
-            ~wp_allowed:[]
+          Instrument.Runtime.hooks ~data_via_pt:false
+            ~sites:(Instrument.Plan.sites plan) ~pt ~wp ~wp_allowed:[]
         in
         let res =
           Exec.Interp.run ~hooks ~counters ~record_gt:true ~max_steps:100_000

@@ -102,7 +102,10 @@ let coverage_case name program args =
             let counters = Exec.Cost.create () in
             let pt = Hw.Pt.create counters in
             let wp = Hw.Watchpoint.create counters in
-            let hooks = Instrument.Runtime.hooks ~data_via_pt:false ~plan ~pt ~wp ~wp_allowed:[] in
+            let hooks =
+              Instrument.Runtime.hooks ~data_via_pt:false
+                ~sites:(Plan.sites plan) ~pt ~wp ~wp_allowed:[]
+            in
             let res =
               Exec.Interp.run ~hooks ~counters ~record_gt:true program
                 (I.workload ~args seed)

@@ -152,6 +152,49 @@ let packets =
          | I.Success -> Alcotest.fail "expected crash"));
   ]
 
+(* The recorder's stream table is indexed by tid and grows on demand:
+   touching tids out of order and past its initial capacity must leave
+   [all_tids] sorted and complete, create no stream for an untouched
+   tid, and [finish] must close each still-enabled stream with a PGD
+   at its last noted pc. *)
+let stream_table =
+  Alcotest.test_case "stream table: non-monotone tids past capacity" `Quick
+    (fun () ->
+      let counters = Exec.Cost.create () in
+      let r = Hw.Pt.create counters in
+      Hw.Pt.on_branch r ~tid:0 ~taken:false (* touched, never traced *);
+      Hw.Pt.enable r ~tid:17 ~pc:5;
+      Hw.Pt.note_pc r ~tid:17 ~pc:6;
+      Hw.Pt.on_branch r ~tid:17 ~taken:true;
+      Hw.Pt.note_pc r ~tid:17 ~pc:7;
+      Hw.Pt.enable r ~tid:3 ~pc:11;
+      Hw.Pt.disable r ~tid:3 ~pc:12;
+      Hw.Pt.enable r ~tid:40 ~pc:20;
+      Hw.Pt.note_pc r ~tid:40 ~pc:21;
+      Alcotest.(check (list int)) "sorted, complete" [ 0; 3; 17; 40 ]
+        (Hw.Pt.all_tids r);
+      Hw.Pt.finish r;
+      Alcotest.(check (list int)) "finish adds no stream" [ 0; 3; 17; 40 ]
+        (Hw.Pt.all_tids r);
+      let pk tid = Hw.Pt.packets_of r tid in
+      Alcotest.(check bool) "tid 0: nothing traced" true (pk 0 = []);
+      Alcotest.(check bool) "tid 3: closed by its own disable" true
+        (pk 3 = Hw.Pt.[ PGE 11; PGD 12 ]);
+      Alcotest.(check bool) "tid 17: flushed, PGD at the last pc" true
+        (pk 17 = Hw.Pt.[ PGE 5; TNT [ true ]; PGD 7 ]);
+      Alcotest.(check bool) "tid 40: PGD at the last pc" true
+        (pk 40 = Hw.Pt.[ PGE 20; PGD 21 ]);
+      List.iter
+        (fun tid ->
+          Alcotest.(check bool)
+            (Printf.sprintf "tid %d closed" tid)
+            false (Hw.Pt.enabled r tid))
+        [ 0; 3; 17; 40 ];
+      Alcotest.(check int) "toggles (finish closes without one)" 4
+        counters.pt_toggles;
+      Alcotest.(check (list int)) "reads add no stream" [ 0; 3; 17; 40 ]
+        (Hw.Pt.all_tids r))
+
 (* Damaged streams: whatever a fault does to the ring, the checked
    decoder must return a typed error or a clean prefix — never an
    out-of-bounds access and never an exception. *)
@@ -329,6 +372,7 @@ let () =
       ("round-trip-qcheck", [ QCheck_alcotest.to_alcotest qcheck_round_trip ]);
       ("branch-outcomes", [ branch_outcomes ]);
       ("packets", packets);
+      ("stream-table", [ stream_table ]);
       ("damaged", damaged);
       ("damaged-qcheck", [ QCheck_alcotest.to_alcotest qcheck_damaged ]);
       ( "wire-qcheck",
