@@ -164,23 +164,6 @@ let soak_sconfig ~sessions =
     round_budget = 128;
   }
 
-(* Submit one spec, riding [Busy] (and [Shed]) backpressure by running
-   a round and retrying. *)
-let rec push svc sp =
-  match Serve.Service.submit svc sp with
-  | Ok _ -> ()
-  | Error (Serve.Service.Busy _ | Serve.Service.Shed _) ->
-    ignore (Serve.Service.step svc);
-    push svc sp
-
-let resolver specs =
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun (sp : Serve.Service.spec) ->
-      Hashtbl.replace by_name sp.Serve.Service.sp_name sp)
-    specs;
-  Hashtbl.find_opt by_name
-
 (* Four waves of 200 interleaved sessions through ONE service (the
    same spec list each wave: the offline caches key programs by
    identity).  A session retained past completion, a completion never
@@ -199,7 +182,7 @@ let serve_gate pool =
   let wave () =
     let (), wall_s =
       wall (fun () ->
-          List.iter (push svc) specs;
+          List.iter (fun sp -> ignore (Serve.Drive.submit svc sp)) specs;
           Serve.Service.drain svc)
     in
     ignore (Sys.opaque_identity (Serve.Service.take_completions svc));
@@ -245,7 +228,7 @@ let serve_gate pool =
       ~sconfig:{ sconfig with max_inflight = cap; round_budget = 512 }
       ~pool ()
   in
-  List.iter (push wide) specs;
+  List.iter (fun sp -> ignore (Serve.Drive.submit wide sp)) specs;
   while
     Serve.Service.inflight wide < cap
     && Serve.Service.queued wide > 0
@@ -275,7 +258,7 @@ let recover_point pool ~sessions ~every =
     { (soak_sconfig ~sessions) with checkpoint_every_rounds = every }
   in
   let svc = Serve.Service.create ~sconfig ~pool () in
-  List.iter (push svc) specs;
+  List.iter (fun sp -> ignore (Serve.Drive.submit svc sp)) specs;
   let rec run harvested =
     let harvested = Serve.Service.take_completions svc @ harvested in
     if
@@ -299,7 +282,10 @@ let recover_point pool ~sessions ~every =
       "recover gate: %d sessions: %d rounds after the newest checkpoint \
        (cadence %d)"
       sessions replayed every;
-  match Serve.Service.recover ~pool ~resolve:(resolver specs) bytes with
+  let resolve name =
+    List.find_opt (fun (sp : Serve.Service.spec) -> sp.sp_name = name) specs
+  in
+  match Serve.Service.recover ~pool ~resolve bytes with
   | Error e ->
     fail "recover gate: recover refused at %d sessions, cadence %d: %s"
       sessions every
@@ -338,11 +324,9 @@ let chaos_soak pool ~sessions =
       poison = 0.0 }
   in
   let wave i =
-    let svc = Serve.Service.create ~sconfig ~pool () in
-    List.iter (push svc) specs;
     let oc =
-      Serve.Chaos.drive ~pool ~rates ~seed:(42 + i) ~resolve:(resolver specs)
-        ~specs svc
+      Serve.Drive.run ~pool ~rates ~seed:(42 + i) ~specs
+        (Serve.Service.create ~sconfig ~pool ())
     in
     let completed = List.length oc.o_done in
     if completed <> sessions then
@@ -356,7 +340,7 @@ let chaos_soak pool ~sessions =
     if oc.o_failed_recoveries > damaged then
       fail "chaos soak: wave %d: %d refusals exceed the %d damaged kills" i
         oc.o_failed_recoveries damaged;
-    let st = oc.o_stats in
+    let st = Serve.Service.stats oc.o_service in
     if st.st_submitted <> st.st_completed + st.st_rejected then
       fail
         "chaos soak: wave %d ledger: %d submitted <> %d completed + %d \
@@ -404,31 +388,6 @@ let storm_sconfig ~sessions ~triage =
     recency_rounds = 1;
   }
 
-(* Submit [specs] riding [Busy] backpressure; a [Shed] is final for
-   that submission (load shedding means the client backs off).
-   Returns the completions. *)
-let storm_wave svc specs =
-  let completions = ref [] in
-  let harvest () =
-    completions := !completions @ Serve.Service.take_completions svc;
-    ignore (Serve.Service.take_shed svc)
-  in
-  List.iter
-    (fun sp ->
-      let rec submit () =
-        match Serve.Service.submit svc sp with
-        | Ok _ | Error (Serve.Service.Shed _) -> ()
-        | Error (Serve.Service.Busy _) ->
-          ignore (Serve.Service.step svc);
-          harvest ();
-          submit ()
-      in
-      submit ())
-    specs;
-  Serve.Service.drain svc;
-  harvest ();
-  !completions
-
 (* Completion rounds of the fresh-named sessions: (first, last). *)
 let fresh_rounds completions =
   List.fold_left
@@ -470,8 +429,8 @@ let storm pool ~sessions =
     let svc =
       Serve.Service.create ~sconfig:(storm_sconfig ~sessions ~triage) ~pool ()
     in
-    let completions = storm_wave svc specs in
-    (fresh_rounds completions, storm_ledger_check label svc)
+    let oc = Serve.Drive.run ~pool ~specs svc in
+    (fresh_rounds (List.map snd oc.o_done), storm_ledger_check label svc)
   in
   let (first_on, last_on), st_on = one "triage" ~triage:true specs in
   let (first_off, last_off), _ = one "no-triage" ~triage:false specs in
@@ -513,7 +472,7 @@ let storm pool ~sessions =
         }
       ~pool ()
   in
-  ignore (storm_wave shed_svc specs);
+  ignore (Serve.Drive.run ~pool ~specs shed_svc);
   let st_shed = storm_ledger_check "shed" shed_svc in
   (* Three storm waves through ONE service: diagnosed clusters re-open
      as recurrences, and the cluster table, lanes and journal must
@@ -523,7 +482,7 @@ let storm pool ~sessions =
       ()
   in
   let wave () =
-    ignore (Sys.opaque_identity (storm_wave soak_svc specs));
+    ignore (Sys.opaque_identity (Serve.Drive.run ~pool ~specs soak_svc));
     live_words ()
   in
   let w1 = wave () in

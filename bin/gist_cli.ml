@@ -539,39 +539,31 @@ let print_service_stats (st : Serve.Service.stats) =
 
 (* The fuzz accuracy gate through the multiplexed path: same cases,
    same scoring, every diagnosable case one session of a shared
-   service (shrinking skipped). *)
-let fuzz_serve seed count jobs json min_accuracy faults =
-  let report, st = Serve.Gate.run ~jobs ?faults ~seed ~count () in
-  if json then print_string (Fuzz.Runner.to_json report)
-  else begin
-    Fmt.pr "%a" Fuzz.Runner.pp report;
-    print_service_stats st
-  end;
-  if Fuzz.Runner.min_pattern_accuracy report >= min_accuracy then 0 else 1
-
-(* The same gate under service faults: seeded kills between scheduler
-   rounds, torn journal tails and corrupted checkpoints ahead of every
-   recovery, poisoned sessions.  Two bars: worst-pattern accuracy over
-   the unpoisoned cases (recovery must be byte-identical), and full
-   containment of the poisoned ones (a poisoned session must come back
-   as a typed failure, never crash the service or vanish). *)
-let fuzz_serve_chaos seed count jobs json min_accuracy chaos_rate faults =
-  let rates = Faults.Chaos.spread chaos_rate in
-  let report, st, cs =
-    Serve.Gate.run_chaos ~jobs ?faults ~rates ~seed ~count ()
+   service (shrinking skipped).  With --chaos, under service faults:
+   seeded kills between scheduler rounds, torn journal tails and
+   corrupted checkpoints ahead of every recovery, poisoned sessions.
+   Two bars: worst-pattern accuracy over the unpoisoned cases
+   (recovery must be byte-identical), and full containment of the
+   poisoned ones (a poisoned session must come back as a typed
+   failure, never crash the service or vanish). *)
+let fuzz_serve seed count jobs json min_accuracy chaos faults =
+  let rates =
+    Option.fold ~none:Faults.Chaos.zero ~some:Faults.Chaos.spread chaos
   in
+  let report, st, cs = Serve.Gate.run ~jobs ?faults ~rates ~seed ~count () in
   if json then print_string (Fuzz.Runner.to_json report)
   else begin
     Fmt.pr "%a" Fuzz.Runner.pp report;
     print_service_stats st;
-    Printf.printf
-      "chaos: %d kill(s) (%d torn, %d corrupted), %d failed recoveries, %d \
-       resubmitted; %d/%d poisoned session(s) contained; %d divergence(s)\n"
-      cs.Serve.Gate.cs_kills cs.cs_torn cs.cs_corrupted cs.cs_failed_recoveries
-      cs.cs_resubmitted cs.cs_contained cs.cs_poisoned cs.cs_divergences
+    if chaos <> None then
+      Printf.printf
+        "chaos: %d kill(s) (%d torn, %d corrupted), %d failed recoveries, %d \
+         resubmitted; %d/%d poisoned session(s) contained; %d divergence(s)\n"
+        cs.Serve.Gate.cs_kills cs.cs_torn cs.cs_corrupted
+        cs.cs_failed_recoveries cs.cs_resubmitted cs.cs_contained
+        cs.cs_poisoned cs.cs_divergences
   end;
-  let contained = cs.Serve.Gate.cs_contained = cs.cs_poisoned in
-  if not contained then begin
+  if cs.Serve.Gate.cs_contained <> cs.cs_poisoned then begin
     prerr_endline "chaos: a poisoned session escaped containment";
     1
   end
@@ -585,9 +577,7 @@ let fuzz_run seed count jobs json no_shrink min_accuracy save_failures
   | Some path, _ -> fuzz_replay path
   | None, Some dir -> fuzz_gen_corpus dir seed count jobs faults
   | None, None when serve ->
-    (match chaos with
-     | Some rate -> fuzz_serve_chaos seed count jobs json min_accuracy rate faults
-     | None -> fuzz_serve seed count jobs json min_accuracy faults)
+    fuzz_serve seed count jobs json min_accuracy chaos faults
   | None, None ->
     let report =
       Fuzz.Runner.run ~jobs ~shrink:(not no_shrink) ?faults ~seed ~count ()
@@ -693,11 +683,10 @@ let fuzz_cmd =
    is empty.
 
    Crash-only wiring: --journal persists the write-ahead journal,
-   --kill-at-round kills the service mid-run and continues on the
-   recovered incarnation (a live demonstration of [Service.recover]),
    --status prints a live per-session snapshot, and SIGINT requests a
    graceful drain (stop admitting, finish in-flight, flush the
-   journal) instead of dying mid-round. *)
+   journal) instead of dying mid-round.  The kill-and-recover demo is
+   [fuzz --serve --chaos]. *)
 
 let print_status views =
   Printf.printf "%-6s %-28s %-5s %5s %5s %6s %6s %6s %7s %7s\n" "id" "session"
@@ -735,7 +724,7 @@ let print_clusters views =
 (* Per-cluster artifacts: the canonical diagnosis's sketch, and — when
    the bug came from the fuzzer — a shrunk standalone reproducer (.gir
    with its ground truth) that re-triggers the same cluster. *)
-let emit_reproducers dir ~resolve ~completions views =
+let emit_reproducers dir ~specs ~completions views =
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let by_id = Hashtbl.create 16 in
   List.iter
@@ -752,7 +741,11 @@ let emit_reproducers dir ~resolve ~completions views =
          close_out oc;
          incr emitted
        | Some { Serve.Service.c_result = Error _; _ } | None -> ());
-      match resolve v.Serve.Triage.v_name with
+      match
+        List.find_opt
+          (fun (sp : Serve.Service.spec) -> sp.sp_name = v.Serve.Triage.v_name)
+          specs
+      with
       | Some { Serve.Service.sp_case = Some case; _ } ->
         let verdict =
           match Hashtbl.find_opt by_id v.v_canonical with
@@ -768,8 +761,8 @@ let emit_reproducers dir ~resolve ~completions views =
     !emitted dir
 
 let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
-    checkpoint_every deadline strikes summary status journal_file kill_at
-    triage max_clusters fresh_weight recur_weight recency storm dup_ratio
+    checkpoint_every deadline strikes summary status journal_file triage
+    max_clusters fresh_weight recur_weight recency storm dup_ratio
     reproducer_dir faults =
   let jobs = resolve_jobs jobs in
   let sconfig =
@@ -802,100 +795,32 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
     | [] -> exit_no_failure
     | specs ->
       Parallel.Pool.with_pool ~jobs (fun pool ->
-          let svc = ref (Serve.Service.create ~sconfig ~pool ()) in
+          let svc = Serve.Service.create ~sconfig ~pool () in
           (* SIGINT = graceful drain: already-accepted work finishes,
              the journal keeps every record, nothing is half-done. *)
           Sys.set_signal Sys.sigint
-            (Sys.Signal_handle
-               (fun _ -> Serve.Service.request_drain !svc));
-          let resolve =
-            let tbl = Hashtbl.create (List.length specs) in
-            List.iter
-              (fun (sp : Serve.Service.spec) ->
-                Hashtbl.replace tbl sp.sp_name sp)
-              specs;
-            fun name -> Hashtbl.find_opt tbl name
-          in
-          (* Recovery replays completions at-least-once; dedup by
-             ticket id, first sighting wins. *)
-          let seen = Hashtbl.create (List.length specs) in
-          let harvested = ref [] in
-          let sheds = ref [] in
-          let harvest () =
-            List.iter
-              (fun (c : Serve.Service.completion) ->
-                if not (Hashtbl.mem seen c.c_id) then begin
-                  Hashtbl.replace seen c.c_id ();
-                  harvested := c :: !harvested
-                end)
-              (Serve.Service.take_completions !svc);
-            sheds := !sheds @ Serve.Service.take_shed !svc
-          in
-          let submit_all () =
-            List.iter
-              (fun sp ->
-                let rec push () =
-                  match Serve.Service.submit !svc sp with
-                  | Ok _ -> ()
-                  | Error (Serve.Service.Shed _) ->
-                    (* Load shedding is final for this submission: the
-                       recurrence was refused under load, typed and
-                       booked — the client backs off, not the CLI. *)
-                    ()
-                  | Error (Serve.Service.Busy _) ->
-                    (* Saturated: run a round, harvest, retry. *)
-                    ignore (Serve.Service.step !svc);
-                    harvest ();
-                    push ()
-                in
-                push ())
-              specs
+            (Sys.Signal_handle (fun _ -> Serve.Service.request_drain svc));
+          (* Admission happens at round start, so the snapshot is taken
+             after the first round, when the ring shows the fleet. *)
+          let snapshot = ref status in
+          let on_round svc =
+            if !snapshot then begin
+              snapshot := false;
+              print_status (Serve.Service.status svc);
+              if Serve.Service.triage_enabled svc then begin
+                print_lanes (Serve.Service.lanes svc);
+                print_clusters (Serve.Service.clusters svc)
+              end
+            end
           in
           let t0 = Unix.gettimeofday () in
-          submit_all ();
-          if status then begin
-            (* Admission happens at round start, so a freshly
-               submitted stream has an empty ring until the first
-               step; run one round so the snapshot shows the fleet. *)
-            ignore (Serve.Service.step !svc : bool);
-            harvest ();
-            print_status (Serve.Service.status !svc);
-            if Serve.Service.triage_enabled !svc then begin
-              print_lanes (Serve.Service.lanes !svc);
-              print_clusters (Serve.Service.clusters !svc)
-            end
-          end;
-          let killed = ref false in
-          let rec run () =
-            if Serve.Service.step !svc then begin
-              harvest ();
-              (match kill_at with
-               | Some k
-                 when (not !killed)
-                      && (Serve.Service.stats !svc).st_rounds >= k ->
-                 killed := true;
-                 let bytes = Serve.Service.journal_bytes !svc in
-                 (match Serve.Service.recover ~pool ~resolve bytes with
-                  | Ok svc' ->
-                    Printf.printf
-                      "killed at round %d; recovered from %d journal \
-                       byte(s)\n"
-                      k (String.length bytes);
-                    svc := svc'
-                  | Error e ->
-                    prerr_endline (Serve.Service.rerror_to_string e))
-               | _ -> ());
-              run ()
-            end
-          in
-          run ();
-          harvest ();
+          let oc = Serve.Drive.run ~pool ~on_round ~specs svc in
           let wall = Unix.gettimeofday () -. t0 in
           (match journal_file with
            | Some path ->
-             Serve.Journal.save_file path (Serve.Service.journal_bytes !svc)
+             Serve.Journal.save_file path (Serve.Service.journal_bytes svc)
            | None -> ());
-          let last = List.rev !harvested in
+          let last = List.map snd oc.o_done in
           if summary then
             List.iter
               (fun (c : Serve.Service.completion) ->
@@ -911,31 +836,31 @@ let serve_run sessions fuzz_count seed jobs inflight queue quantum budget
                     (Serve.Service.session_failure_to_string f)
                     c.c_admitted_round c.c_completed_round)
               last;
-          let st = Serve.Service.stats !svc in
+          let st = Serve.Service.stats svc in
           print_service_stats st;
-          if Serve.Service.triage_enabled !svc && status then begin
-            print_lanes (Serve.Service.lanes !svc);
-            print_clusters (Serve.Service.clusters !svc)
+          if Serve.Service.triage_enabled svc && status then begin
+            print_lanes (Serve.Service.lanes svc);
+            print_clusters (Serve.Service.clusters svc)
           end;
           List.iter
             (fun (sh : Serve.Service.shed_notice) ->
               Printf.printf
                 "shed: ticket %d (%s) at round %d; retry after %d round(s)\n"
                 sh.sh_id sh.sh_name sh.sh_round sh.sh_retry_after_rounds)
-            !sheds;
+            oc.o_sheds;
           Printf.printf "throughput: %.1f sessions/s (%d sessions in %.2fs)\n"
             (float_of_int st.st_completed /. wall)
             st.st_completed wall;
           (match reproducer_dir with
-           | Some dir when Serve.Service.triage_enabled !svc ->
-             emit_reproducers dir ~resolve ~completions:last
-               (Serve.Service.clusters !svc)
+           | Some dir when Serve.Service.triage_enabled svc ->
+             emit_reproducers dir ~specs ~completions:last
+               (Serve.Service.clusters svc)
            | Some _ | None -> ());
           let balanced =
             st.st_submitted
             = st.st_completed + st.st_rejected + st.st_coalesced + st.st_shed
-            && Serve.Service.inflight !svc = 0
-            && Serve.Service.queued !svc = 0
+            && Serve.Service.inflight svc = 0
+            && Serve.Service.queued svc = 0
             && List.length last = st.st_completed
           in
           if not balanced then begin
@@ -1022,14 +947,6 @@ let serve_cmd =
          & info [ "journal" ] ~docv:"FILE"
              ~doc:"Persist the write-ahead journal to $(docv) at exit.")
   in
-  let kill_at =
-    Arg.(value & opt (some int) None
-         & info [ "kill-at-round" ] ~docv:"K"
-             ~doc:"Crash-recovery demo: kill the service once it reaches \
-                   round $(docv), recover a fresh one from the journal, \
-                   and finish the stream on it. The ledger must still \
-                   balance.")
-  in
   let triage =
     Arg.(value & flag
          & info [ "triage" ]
@@ -1095,7 +1012,7 @@ let serve_cmd =
     Term.(
       const serve_run $ sessions $ fuzz_count $ seed $ jobs_arg $ inflight
       $ queue $ quantum $ budget $ checkpoint_every $ deadline $ strikes
-      $ summary $ status $ journal_file $ kill_at $ triage $ max_clusters
+      $ summary $ status $ journal_file $ triage $ max_clusters
       $ fresh_weight $ recur_weight $ recency $ storm $ dup_ratio
       $ reproducers $ faults_term)
 

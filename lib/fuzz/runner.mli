@@ -38,6 +38,10 @@ val overall_accuracy : report -> float
 (** Worst per-pattern accuracy — the acceptance gate. *)
 val min_pattern_accuracy : report -> float
 
+(** Per-pattern accuracy of [cases], in {!Gen.all_patterns} order,
+    patterns with no case skipped — a report's [r_stats]. *)
+val stats_of : case_report list -> pattern_stats list
+
 (** [run ~seed ~count ()] fuzzes [count] cases round-robin over the
     taxonomy.  [jobs] sizes the case-level pool; [shrink] (default on)
     minimizes every failing case; [retries] candidate seeds are

@@ -8,7 +8,9 @@
    counterpart, the report (minus shrinking, which this gate skips)
    matches [Fuzz.Runner.run ~shrink:false] verdict for verdict — so
    the worst-pattern accuracy bar holds through the service exactly
-   when it holds one-shot. *)
+   when it holds one-shot.  Under service faults the same campaign is
+   driven through kills and recoveries; poisoned cases are scored for
+   containment instead of accuracy. *)
 
 module G = Fuzz.Gen
 module C = Fuzz.Check
@@ -76,103 +78,6 @@ let report_of_verdict (case : G.case) v =
     cr_fleet = None;
   }
 
-(* [Runner.stats_of], which is not exported: per-pattern accuracy in
-   [Gen.all_patterns] order, empty patterns skipped. *)
-let stats_of cases =
-  List.filter_map
-    (fun p ->
-      let of_p = List.filter (fun cr -> cr.R.cr_pattern = p) cases in
-      if of_p = [] then None
-      else
-        Some
-          {
-            R.ps_pattern = p;
-            ps_total = List.length of_p;
-            ps_correct =
-              List.length
-                (List.filter (fun cr -> cr.R.cr_verdict = C.Correct) of_p);
-          })
-    G.all_patterns
-
-let run ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
-    ?(sconfig = Service.default) ~seed ~count () =
-  let cases =
-    List.map
-      (fun case ->
-        match faults with
-        | None -> case
-        | Some _ -> { case with G.c_faults = faults })
-      (R.cases ~retries ~seed ~count ())
-  in
-  Parallel.Pool.with_pool ~jobs (fun pool ->
-      (* Pre-service probes fan out across the pool; order preserved. *)
-      let preps =
-        Parallel.Pool.map_array pool prep_case (Array.of_list cases)
-      in
-      let svc = Service.create ~sconfig ~pool () in
-      (* Submit every diagnosable case, riding the backpressure: a
-         [Busy] reject runs a scheduler round and retries, so the
-         in-flight window stays saturated without unbounded queueing. *)
-      let tickets = Hashtbl.create (List.length cases) in
-      List.iteri
-        (fun i case ->
-          match preps.(i) with
-          | Verdict _ -> ()
-          | Diagnose failure ->
-            let spec = spec_of ~early_exit case failure in
-            let rec push () =
-              match Service.submit svc spec with
-              | Ok (Service.Ticket id) -> Hashtbl.replace tickets id i
-              | Ok (Service.Coalesced _) ->
-                (* Unreachable: the gate runs without triage. *)
-                ()
-              | Error (Service.Busy _ | Service.Shed _) ->
-                ignore (Service.step svc);
-                push ()
-            in
-            push ())
-        cases;
-      Service.drain svc;
-      let by_case = Hashtbl.create (List.length cases) in
-      let by_fail = Hashtbl.create 4 in
-      List.iter
-        (fun (c : Service.completion) ->
-          match (Hashtbl.find_opt tickets c.Service.c_id, c.Service.c_result) with
-          | Some i, Ok d -> Hashtbl.replace by_case i d
-          | Some i, Error f ->
-            (* Contained session failure: booked as a crash verdict,
-               never as a missing case. *)
-            Hashtbl.replace by_fail i (Service.session_failure_to_string f)
-          | None, _ -> ())
-        (Service.completions svc);
-      let reports =
-        List.mapi
-          (fun i case ->
-            match preps.(i) with
-            | Verdict v -> report_of_verdict case v
-            | Diagnose _ ->
-              (match Hashtbl.find_opt by_case i with
-               | Some d -> report_of_diagnosis case d
-               | None ->
-                 (match Hashtbl.find_opt by_fail i with
-                  | Some detail -> report_of_verdict case (C.Crash detail)
-                  | None ->
-                    (* Unreachable after [drain]: every submission was
-                       admitted (the push loop retries Busy) and every
-                       admitted session completes — diagnosed or as a
-                       typed failure. *)
-                    report_of_verdict case (C.Crash "session never completed"))))
-          cases
-      in
-      ( {
-          R.r_seed = seed;
-          r_count = count;
-          r_cases = reports;
-          r_stats = stats_of reports;
-          r_faults = faults;
-        },
-        Service.stats svc ))
-
 type chaos_summary = {
   cs_kills : int;
   cs_torn : int;
@@ -184,8 +89,8 @@ type chaos_summary = {
   cs_divergences : int;
 }
 
-let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
-    ?(sconfig = Service.default) ~rates ~seed ~count () =
+let run ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
+    ?(sconfig = Service.default) ?(rates = FC.zero) ~seed ~count () =
   let cases =
     List.map
       (fun case ->
@@ -195,102 +100,73 @@ let run_chaos ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
       (R.cases ~retries ~seed ~count ())
   in
   Parallel.Pool.with_pool ~jobs (fun pool ->
-      let preps =
-        Parallel.Pool.map_array pool prep_case (Array.of_list cases)
-      in
-      (* Every diagnosable case's spec, poison applied up front — the
-         resolver must hand recovery the poisoned spec, or a replayed
-         session would not strike like the original did. *)
-      let specs = Hashtbl.create (List.length cases) in
-      List.iteri
-        (fun i case ->
-          match preps.(i) with
-          | Verdict _ -> ()
-          | Diagnose failure ->
-            let sp =
-              Chaos.poison_spec ~rates ~seed
-                (spec_of ~early_exit case failure)
-            in
-            Hashtbl.replace specs case.G.c_name (i, sp))
-        cases;
-      let resolve name =
-        Option.map snd (Hashtbl.find_opt specs name)
-      in
-      let spec_list =
+      (* Pre-service probes fan out across the pool; order preserved. *)
+      let preps = List.combine cases (Parallel.Pool.map pool prep_case cases) in
+      let specs =
         List.filter_map
-          (fun case ->
-            Option.map snd (Hashtbl.find_opt specs case.G.c_name))
-          cases
+          (function
+            | case, Diagnose failure -> Some (spec_of ~early_exit case failure)
+            | _, Verdict _ -> None)
+          preps
       in
-      let svc = Service.create ~sconfig ~pool () in
-      List.iter
-        (fun sp ->
-          let rec push () =
-            match Service.submit svc sp with
-            | Ok _ -> ()
-            | Error (Service.Busy _ | Service.Shed _) ->
-              ignore (Service.step svc : bool);
-              push ()
-          in
-          push ())
-        spec_list;
       let oc =
-        Chaos.drive ~pool ~rates ~seed ~resolve ~specs:spec_list svc
+        Drive.run ~pool ~rates ~seed ~specs (Service.create ~sconfig ~pool ())
       in
-      let by_name = Hashtbl.create (List.length oc.Chaos.o_done) in
-      List.iter
-        (fun (name, c) -> Hashtbl.replace by_name name c)
-        oc.Chaos.o_done;
+      let by_name = Hashtbl.of_seq (List.to_seq oc.Drive.o_done) in
       let poisoned = ref 0 in
       let contained = ref 0 in
       let reports =
-        List.concat
-          (List.mapi
-             (fun i case ->
-               match preps.(i) with
-               | Verdict v -> [ report_of_verdict case v ]
-               | Diagnose _ ->
-                 let name = case.G.c_name in
-                 let completion = Hashtbl.find_opt by_name name in
-                 if FC.poisoned rates ~seed ~name then begin
-                   incr poisoned;
-                   (match completion with
-                    | Some { Service.c_result = Error _; _ } ->
-                      incr contained
-                    | Some _ | None -> ());
-                   (* Destroyed by design: containment is the check,
-                      not accuracy — keep it out of the statistics. *)
-                   []
-                 end
-                 else
-                   [
-                     (match completion with
-                      | Some { Service.c_result = Ok d; _ } ->
-                        report_of_diagnosis case d
-                      | Some { Service.c_result = Error f; _ } ->
-                        report_of_verdict case
-                          (C.Crash (Service.session_failure_to_string f))
-                      | None ->
-                        report_of_verdict case
-                          (C.Crash "session never completed"));
-                   ])
-             cases)
+        List.concat_map
+          (fun (case, prep) ->
+            match prep with
+            | Verdict v -> [ report_of_verdict case v ]
+            | Diagnose _ ->
+              let name = case.G.c_name in
+              let completion = Hashtbl.find_opt by_name name in
+              if FC.poisoned rates ~seed ~name then begin
+                incr poisoned;
+                (match completion with
+                 | Some { Service.c_result = Error _; _ } -> incr contained
+                 | Some _ | None -> ());
+                (* Destroyed by design: containment is the check, not
+                   accuracy — keep it out of the statistics. *)
+                []
+              end
+              else
+                [
+                  (match completion with
+                   | Some { Service.c_result = Ok d; _ } ->
+                     report_of_diagnosis case d
+                   | Some { Service.c_result = Error f; _ } ->
+                     (* Contained session failure: booked as a crash
+                        verdict, never as a missing case. *)
+                     report_of_verdict case
+                       (C.Crash (Service.session_failure_to_string f))
+                   | None ->
+                     (* Unreachable: the driver answers every spec, and
+                        a spec the service ticketed always completes —
+                        diagnosed or as a typed failure. *)
+                     report_of_verdict case
+                       (C.Crash "session never completed"));
+                ])
+          preps
       in
+      let stats = Service.stats oc.Drive.o_service in
       ( {
           R.r_seed = seed;
           r_count = count;
           r_cases = reports;
-          r_stats = stats_of reports;
+          r_stats = R.stats_of reports;
           r_faults = faults;
         },
-        oc.Chaos.o_stats,
+        stats,
         {
-          cs_kills = oc.Chaos.o_kills;
-          cs_torn = oc.Chaos.o_torn;
-          cs_corrupted = oc.Chaos.o_corrupted;
-          cs_resubmitted = oc.Chaos.o_resubmitted;
-          cs_failed_recoveries = oc.Chaos.o_failed_recoveries;
+          cs_kills = oc.Drive.o_kills;
+          cs_torn = oc.Drive.o_torn;
+          cs_corrupted = oc.Drive.o_corrupted;
+          cs_resubmitted = oc.Drive.o_resubmitted;
+          cs_failed_recoveries = oc.Drive.o_failed_recoveries;
           cs_poisoned = !poisoned;
           cs_contained = !contained;
-          cs_divergences = oc.Chaos.o_stats.Service.st_divergences;
+          cs_divergences = stats.Service.st_divergences;
         } ))

@@ -6,23 +6,7 @@
     their one-shot counterparts, the report matches
     [Fuzz.Runner.run ~shrink:false] verdict for verdict. *)
 
-(** [run ~seed ~count ()] returns the campaign report plus the
-    service's scheduling ledger.  [sconfig] (default
-    {!Service.default}) shapes the multiplexing; submissions refused
-    with [Busy] are retried after a scheduler round, so the in-flight
-    window stays saturated without unbounded queueing. *)
-val run :
-  ?jobs:int ->
-  ?retries:int ->
-  ?faults:Faults.Fault.rates * int ->
-  ?early_exit:bool ->
-  ?sconfig:Service.sconfig ->
-  seed:int ->
-  count:int ->
-  unit ->
-  Fuzz.Runner.report * Service.stats
-
-(** What the chaos campaign did on top of the fuzz verdicts. *)
+(** What the service-fault campaign did on top of the fuzz verdicts. *)
 type chaos_summary = {
   cs_kills : int;
   cs_torn : int;
@@ -35,23 +19,26 @@ type chaos_summary = {
   cs_divergences : int; (** recovery audit mismatches, final ledger *)
 }
 
-(** {!run} under service faults: the same campaign driven by
-    {!Chaos.drive} — seeded kills between rounds, torn journal tails
-    and corrupted checkpoints ahead of recovery, poisoned sessions.
+(** [run ~seed ~count ()] returns the campaign report, the final
+    service's ledger and the service-fault summary.  The cases are fed
+    through {!Drive.run}.  [sconfig] (default {!Service.default})
+    shapes the multiplexing.
 
-    Poisoned cases are excluded from the report's accuracy statistics
-    (their diagnosis is destroyed by design; what the gate checks is
-    containment, via [cs_contained]); every other case must come back
-    with the same verdict as the unkilled service — recovery is
-    byte-identical — so the worst-pattern accuracy bar carries over
-    unchanged. *)
-val run_chaos :
+    [rates] (default {!Faults.Chaos.zero}, the plain service gate)
+    adds seeded kills between rounds, torn journal tails, corrupted
+    checkpoints and poisoned sessions.  Poisoned cases are excluded
+    from the report's accuracy statistics (their diagnosis is
+    destroyed by design; the check is containment, via
+    [cs_contained]).  Every other case must come back with the same
+    verdict as the unkilled service, since recovery is byte-identical,
+    so the worst-pattern accuracy bar carries over unchanged. *)
+val run :
   ?jobs:int ->
   ?retries:int ->
   ?faults:Faults.Fault.rates * int ->
   ?early_exit:bool ->
   ?sconfig:Service.sconfig ->
-  rates:Faults.Chaos.rates ->
+  ?rates:Faults.Chaos.rates ->
   seed:int ->
   count:int ->
   unit ->

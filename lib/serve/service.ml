@@ -264,7 +264,7 @@ type shed_notice = {
 type t = {
   cfg : sconfig;
   pool : Parallel.Pool.t;
-  journal : Journal.t option;
+  journal : Journal.t;
   queue : pending Queue.t; (* fresh lane; the only lane w/o triage *)
   rqueue : pending Queue.t; (* recurrence lane (triage only) *)
   triage : Triage.t option;
@@ -305,8 +305,7 @@ type t = {
 let inflight t = List.length t.active
 let queued t = Queue.length t.queue + Queue.length t.rqueue
 
-let jrnl t r =
-  match t.journal with None -> () | Some j -> Journal.append j r
+let jrnl t r = Journal.append t.journal r
 
 (* ------------------------------------------------------------------ *)
 (* Audit digests.  Host-time fields are excluded on principle: they
@@ -436,23 +435,18 @@ let encode_state t =
 (* ------------------------------------------------------------------ *)
 
 let do_checkpoint t =
-  match t.journal with
-  | None -> false
-  | Some j ->
-    if t.completions <> [] || t.sheds <> [] then false
-    else begin
-      t.checkpoints <- t.checkpoints + 1;
-      Journal.append j
-        (Journal.Checkpoint { round = t.rounds; state = encode_state t });
-      (* The journal lives in memory for the service's whole life:
-         without compaction the dead prefix grows without bound (the
-         PR8 soak's flat-heap gate is what catches this). *)
-      Journal.compact j;
-      true
-    end
+  if t.completions <> [] || t.sheds <> [] then false
+  else begin
+    t.checkpoints <- t.checkpoints + 1;
+    jrnl t (Journal.Checkpoint { round = t.rounds; state = encode_state t });
+    (* The journal lives in memory for the service's whole life:
+       without compaction the dead prefix grows without bound (the
+       PR8 soak's flat-heap gate is what catches this). *)
+    Journal.compact t.journal;
+    true
+  end
 
-let create ?(sconfig = default) ?(journal = true) ?(pool = Parallel.Pool.sequential)
-    () =
+let create ?(sconfig = default) ?(pool = Parallel.Pool.sequential) () =
   let cfg =
     match validate sconfig with
     | Ok c -> c
@@ -462,7 +456,7 @@ let create ?(sconfig = default) ?(journal = true) ?(pool = Parallel.Pool.sequent
     {
       cfg;
       pool;
-      journal = (if journal then Some (Journal.create ()) else None);
+      journal = Journal.create ();
       queue = Queue.create ();
       rqueue = Queue.create ();
       triage =
@@ -1084,8 +1078,7 @@ let triage_enabled t = t.triage <> None
 (* ------------------------------------------------------------------ *)
 (* Crash-only lifecycle *)
 
-let journal_bytes t =
-  match t.journal with None -> "" | Some j -> Journal.contents j
+let journal_bytes t = Journal.contents t.journal
 
 let checkpoint t = do_checkpoint t
 
@@ -1253,7 +1246,7 @@ let decode_state ~pool ~resolve state =
     {
       cfg;
       pool;
-      journal = Some (Journal.create ());
+      journal = Journal.create ();
       queue;
       rqueue;
       triage = tri;

@@ -195,12 +195,10 @@ type stats = {
 
 type t
 
-(** [journal] (default true) turns the write-ahead journal on; pass
-    [false] only to measure its cost (a journal-less service cannot
-    be recovered).  Writes the initial checkpoint.
+(** A fresh service with its write-ahead journal; writes the initial
+    checkpoint.
     @raise Invalid_argument on a malformed [sconfig]. *)
-val create :
-  ?sconfig:sconfig -> ?journal:bool -> ?pool:Parallel.Pool.t -> unit -> t
+val create : ?sconfig:sconfig -> ?pool:Parallel.Pool.t -> unit -> t
 
 val inflight : t -> int
 val queued : t -> int
@@ -288,17 +286,15 @@ val triage_enabled : t -> bool
 
 (** {2 Crash-only lifecycle} *)
 
-(** The journal's bytes so far (the empty string when the journal is
-    off).  Persist them wherever you like ({!Journal.save_file});
-    any prefix of any call's result is a valid recovery input — that
-    is the crash model. *)
+(** The journal's bytes so far.  Persist them wherever you like
+    ({!Journal.save_file}); any prefix of any call's result is a valid
+    recovery input — that is the crash model. *)
 val journal_bytes : t -> string
 
 (** Journal a full-state checkpoint now.  [false] — and no record
     written — when completions are waiting to be harvested (a
     checkpoint must never strand a completion: un-harvested results
-    are regenerated by replay, harvested ones must not be) or when the
-    journal is off. *)
+    are regenerated by replay, harvested ones must not be). *)
 val checkpoint : t -> bool
 
 (** Stop admitting: every later {!submit} is refused.  Already-queued

@@ -284,7 +284,6 @@ let corpus_through_recovery () =
 
 let bugbase_chaos () =
   let specs = List.map (bugbase_spec ~faults:false) Bugbase.Registry.all in
-  let resolve = resolver specs in
   let reference = List.map (fun sp -> (sp.Svc.sp_name, one_shot sp)) specs in
   let rates =
     { Faults.Chaos.kill = 0.3; ckpt_corrupt = 0.3; torn_write = 0.3;
@@ -292,22 +291,21 @@ let bugbase_chaos () =
   in
   Parallel.Pool.with_pool ~jobs:4 (fun pool ->
       let svc = Svc.create ~sconfig:tight ~pool () in
-      List.iter (fun sp -> ignore (Svc.submit svc sp)) specs;
-      let oc = Serve.Chaos.drive ~pool ~rates ~seed:7 ~resolve ~specs svc in
+      let oc = Serve.Drive.run ~pool ~rates ~seed:7 ~specs svc in
       Alcotest.(check bool) "the campaign killed the service" true
-        (oc.Serve.Chaos.o_kills >= 1);
+        (oc.Serve.Drive.o_kills >= 1);
       (* A refusal is legal only when damage ate every checkpoint (the
          campaign then continues on the live object); it must stay
          bounded by the kills that carried damage. *)
       Alcotest.(check bool)
         (Printf.sprintf "refusals (%d) bounded by damaged kills (%d)"
-           oc.Serve.Chaos.o_failed_recoveries
-           (oc.Serve.Chaos.o_torn + oc.Serve.Chaos.o_corrupted))
+           oc.Serve.Drive.o_failed_recoveries
+           (oc.Serve.Drive.o_torn + oc.Serve.Drive.o_corrupted))
         true
-        (oc.Serve.Chaos.o_failed_recoveries
-        <= oc.Serve.Chaos.o_torn + oc.Serve.Chaos.o_corrupted);
+        (oc.Serve.Drive.o_failed_recoveries
+        <= oc.Serve.Drive.o_torn + oc.Serve.Drive.o_corrupted);
       Alcotest.(check int) "every bug completed" (List.length specs)
-        (List.length oc.Serve.Chaos.o_done);
+        (List.length oc.Serve.Drive.o_done);
       List.iter
         (fun (name, (c : Svc.completion)) ->
           match c.Svc.c_result with
@@ -315,7 +313,56 @@ let bugbase_chaos () =
           | Error f ->
             Alcotest.failf "session %s failed: %s" name
               (Svc.session_failure_to_string f))
-        oc.Serve.Chaos.o_done)
+        oc.Serve.Drive.o_done)
+
+(* ------------------------------------------------------------------ *)
+(* The driver: the backpressure policy ends on a draining service, and
+   the plain service gate matches the one-shot fuzz campaign. *)
+
+(* On a draining service [submit] answers [Busy] forever; the policy
+   retries only while a step still has work to run. *)
+let drain_refusal_is_final () =
+  let refused svc name =
+    match Serve.Drive.submit svc (small_spec name) with
+    | Error (Svc.Busy _) -> ()
+    | Error r ->
+      Alcotest.failf "expected a final Busy, got %s" (Svc.sreject_to_string r)
+    | Ok _ -> Alcotest.fail "a draining service admitted a submission"
+  in
+  let idle = Svc.create () in
+  Svc.request_drain idle;
+  refused idle "idle";
+  Alcotest.(check int) "one refusal booked" 1 (Svc.stats idle).Svc.st_rejected;
+  (* Busy with in-flight work: the retries step it down to idle, then
+     the refusal is final. *)
+  let busy = Svc.create () in
+  ignore (Serve.Drive.submit busy (small_spec "admitted"));
+  Svc.request_drain busy;
+  refused busy "refused";
+  let st = Svc.stats busy in
+  Alcotest.(check int) "the admitted session completed" 1 st.Svc.st_completed;
+  Alcotest.(check int) "nothing left" 0 (Svc.inflight busy + Svc.queued busy);
+  Alcotest.(check bool) "the refusals are booked" true (st.Svc.st_rejected >= 1);
+  Alcotest.(check int) "ledger balances" st.Svc.st_submitted
+    (st.Svc.st_completed + st.Svc.st_rejected)
+
+let gate_matches_one_shot () =
+  let one_shot = Fuzz.Runner.run ~shrink:false ~seed:42 ~count:12 () in
+  let served, _, cs = Serve.Gate.run ~seed:42 ~count:12 () in
+  Alcotest.(check int) "no chaos at zero rates" 0
+    (cs.Serve.Gate.cs_kills + cs.cs_poisoned);
+  let verdicts (r : Fuzz.Runner.report) =
+    List.map
+      (fun (cr : Fuzz.Runner.case_report) ->
+        (cr.cr_name, Fuzz.Check.verdict_to_string cr.cr_verdict, cr.cr_top,
+         cr.cr_iterations, cr.cr_total_runs))
+      r.r_cases
+  in
+  Alcotest.(check int) "12 cases" 12 (List.length served.r_cases);
+  Alcotest.(check bool) "verdict for verdict" true
+    (verdicts one_shot = verdicts served);
+  Alcotest.(check string) "same report JSON" (Fuzz.Runner.to_json one_shot)
+    (Fuzz.Runner.to_json served)
 
 (* ------------------------------------------------------------------ *)
 (* Journal codec and damage model. *)
@@ -457,9 +504,9 @@ let containment_tests =
     Alcotest.test_case
       "a poisoned session quarantines; the service survives" `Quick
       (fun () ->
-        let rates = { Faults.Chaos.zero with Faults.Chaos.poison = 1.0 } in
         let poisoned =
-          Serve.Chaos.poison_spec ~rates ~seed:9 (small_spec "poisoned")
+          { (small_spec "poisoned") with
+            Svc.sp_workload_of = (fun _ -> failwith "poisoned workload") }
         in
         let healthy = small_spec "healthy" in
         let svc = Svc.create ~sconfig:Svc.default () in
@@ -692,6 +739,13 @@ let () =
       ( "chaos",
         [ Alcotest.test_case "seeded chaos over the Bugbase" `Slow
             bugbase_chaos ] );
+      ( "drive",
+        [
+          Alcotest.test_case "a draining service's Busy is final" `Quick
+            drain_refusal_is_final;
+          Alcotest.test_case "service gate = one-shot campaign, 12 cases"
+            `Quick gate_matches_one_shot;
+        ] );
       ("journal", journal_tests);
       ( "fallback",
         [

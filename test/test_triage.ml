@@ -613,6 +613,40 @@ let storm_kill_differential () =
   Alcotest.(check int) "same recurrence admissions"
     st_live.Svc.st_recur_admitted st_kill.Svc.st_recur_admitted
 
+(* The driver over a storm: a coalesced duplicate never completes
+   under its own name, so it must count as answered, or the driver
+   would resubmit it every time the service idles. *)
+let drive_answers_a_storm () =
+  let specs =
+    Serve.Stream.storm ~tweak:storm_tweak ~seed:42 ~sessions:40
+      ~dup_ratio:0.8 ()
+  in
+  let n = List.length specs in
+  Alcotest.(check int) "a 40-session storm" 40 n;
+  let svc =
+    Svc.create ~sconfig:{ storm_sconfig with Svc.recency_rounds = 0 } ()
+  in
+  let oc = Serve.Drive.run ~specs svc in
+  let st = Svc.stats oc.Serve.Drive.o_service in
+  Alcotest.(check int) "nothing resubmitted" 0 oc.Serve.Drive.o_resubmitted;
+  Alcotest.(check bool) "duplicates coalesced" true (st.Svc.st_coalesced > 0);
+  (* The queue holds the whole stream: no refusal, no shedding, so
+     each spec was submitted once and answered by exactly one
+     completion or one coalescing. *)
+  Alcotest.(check int) "one submission per spec" n st.Svc.st_submitted;
+  Alcotest.(check int) "completed + coalesced = specs" n
+    (List.length oc.Serve.Drive.o_done + st.Svc.st_coalesced);
+  List.iter
+    (fun (name, _) ->
+      Alcotest.(check bool) (name ^ " is a spec") true
+        (List.exists (fun (sp : Svc.spec) -> sp.sp_name = name) specs))
+    oc.Serve.Drive.o_done;
+  Alcotest.(check int) "ledger balances" st.Svc.st_submitted
+    (st.Svc.st_completed + st.Svc.st_rejected + st.Svc.st_coalesced
+   + st.Svc.st_shed);
+  Alcotest.(check int) "every completion harvested" st.Svc.st_completed
+    (List.length oc.Serve.Drive.o_done)
+
 (* ------------------------------------------------------------------ *)
 (* The corpus reproducers added for this suite: 20-* coalesces against
    its own in-flight diagnosis, 21-* against its completed one. *)
@@ -715,6 +749,8 @@ let () =
             storm_jobs_equivalence;
           Alcotest.test_case "kill at every round: state bit-identical" `Slow
             storm_kill_differential;
+          Alcotest.test_case "the driver answers every storm spec once" `Quick
+            drive_answers_a_storm;
         ] );
       ( "corpus",
         [
