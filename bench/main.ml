@@ -164,13 +164,28 @@ let soak_sconfig ~sessions =
     round_budget = 128;
   }
 
+(* Step [svc] until [stop] holds or it idles, harvesting completions
+   and shed notices every round: a cadence checkpoint is deferred while
+   either waits, so a driver that harvests only at the end journals
+   none once the first session completes.  Returns the completions. *)
+let step_harvesting ?(stop = fun () -> false) svc =
+  let rec go acc =
+    let acc = List.rev_append (Serve.Service.take_completions svc) acc in
+    ignore (Serve.Service.take_shed svc);
+    if (not (stop ())) && Serve.Service.step svc then go acc
+    else List.rev acc
+  in
+  go []
+
 (* Four waves of 200 interleaved sessions through ONE service (the
    same spec list each wave: the offline caches key programs by
    identity).  A session retained past completion, a completion never
    harvested or an arena growing per session shows up as live-heap
-   growth from wave 3 to wave 4.  Earlier waves are warm-up: the
-   journal spans waves until the deferred checkpoint compacts it, so
-   its buffer reaches its high-water capacity only in wave 3.  Gates:
+   growth from wave 3 to wave 4.  Earlier waves are warm-up, while
+   buffers (the journal's among them) grow to their high-water
+   capacity.  Each wave harvests every round, as a long-running
+   driver does, so cadence checkpoints keep compacting the journal.
+   Gates:
    that growth, a balanced ledger, a reports/s floor on wave 1 and the
    fairness bound; then at an in-flight cap of 128, at least 100
    sessions in flight. *)
@@ -180,12 +195,11 @@ let serve_gate pool =
   let specs = Serve.Stream.mixed ~tweak:soak_tweak ~seed:42 ~sessions () in
   let svc = Serve.Service.create ~sconfig ~pool () in
   let wave () =
-    let (), wall_s =
+    let (_ : Serve.Service.completion list), wall_s =
       wall (fun () ->
           List.iter (fun sp -> ignore (Serve.Drive.submit svc sp)) specs;
-          Serve.Service.drain svc)
+          step_harvesting svc)
     in
-    ignore (Sys.opaque_identity (Serve.Service.take_completions svc));
     (wall_s, (Serve.Service.stats svc).st_slots, live_words ())
   in
   let wall1, slots1, _ = wave () in
@@ -245,13 +259,15 @@ let serve_gate pool =
     sessions w3 w4 reports_s floor st.st_max_wait_rounds peak cap
 
 (* Kill-and-recover points: run a stream until two thirds of it has
-   completed, harvesting every round (checkpoints land only on
-   harvested states), and take the journal bytes as the crash image.
-   Gates: the replayed tail — rounds journaled after the newest
-   checkpoint — is shorter than the checkpoint cadence whatever the
-   history (what makes recovery sublinear in it); recovery is accepted,
-   replays with zero divergences, and every session completes across
-   the kill. *)
+   completed, harvesting every round, and take the journal bytes as
+   the crash image.  Gates: the replayed tail — rounds journaled after
+   the newest checkpoint — is shorter than the checkpoint cadence
+   whatever the history (what makes recovery sublinear in it);
+   recovery is accepted, replays with zero divergences, and every
+   session completes across the kill; the recovered service, drained
+   the same way, keeps checkpointing on cadence (the drain after a
+   two-thirds kill lasts about eight rounds, so only the cadence-2
+   point can tell a drain that defers its checkpoints). *)
 let recover_point pool ~sessions ~every =
   let specs = Serve.Stream.mixed ~tweak:soak_tweak ~seed:42 ~sessions () in
   let sconfig =
@@ -259,15 +275,12 @@ let recover_point pool ~sessions ~every =
   in
   let svc = Serve.Service.create ~sconfig ~pool () in
   List.iter (fun sp -> ignore (Serve.Drive.submit svc sp)) specs;
-  let rec run harvested =
-    let harvested = Serve.Service.take_completions svc @ harvested in
-    if
-      (Serve.Service.stats svc).st_completed < 2 * sessions / 3
-      && Serve.Service.step svc
-    then run harvested
-    else harvested
+  let harvested =
+    step_harvesting
+      ~stop:(fun () ->
+        (Serve.Service.stats svc).st_completed >= 2 * sessions / 3)
+      svc
   in
-  let harvested = run [] in
   let bytes = Serve.Service.journal_bytes svc in
   let replayed =
     List.fold_left
@@ -291,11 +304,20 @@ let recover_point pool ~sessions ~every =
       sessions every
       (Serve.Service.rerror_to_string e)
   | Ok svc ->
-    Serve.Service.drain svc;
+    let before = Serve.Service.stats svc in
+    let drained = step_harvesting svc in
+    let after = Serve.Service.stats svc in
+    let rounds = after.st_rounds - before.st_rounds
+    and ckpts = after.st_checkpoints - before.st_checkpoints in
+    if ckpts < (rounds / every) - 1 then
+      fail
+        "recover gate: %d sessions: %d checkpoint(s) over %d rounds drained \
+         after recovery (cadence %d)"
+        sessions ckpts rounds every;
     let names = Hashtbl.create sessions in
     List.iter
       (fun (c : Serve.Service.completion) -> Hashtbl.replace names c.c_name ())
-      (harvested @ Serve.Service.take_completions svc);
+      (harvested @ drained);
     if Hashtbl.length names <> sessions then
       fail "recover gate: %d of %d sessions completed across the kill"
         (Hashtbl.length names) sessions;
@@ -305,8 +327,8 @@ let recover_point pool ~sessions ~every =
         st.st_divergences sessions;
     Printf.printf
       "recover: %3d sessions, cadence %2d: %d round(s) replayed, every \
-       session accounted for\n%!"
-      sessions every replayed
+       session accounted for, %d checkpoint(s) over %d drained round(s)\n%!"
+      sessions every replayed ckpts rounds
 
 (* The chaos soak: 3 waves of [sessions] interleaved sessions, each
    wave a fresh service driven to completion under seeded kills, torn
@@ -676,7 +698,7 @@ let smoke () =
       serve_gate pool;
       List.iter
         (fun (sessions, every) -> recover_point pool ~sessions ~every)
-        [ (20, 8); (40, 8); (60, 8); (30, 4); (30, 16) ];
+        [ (20, 8); (40, 8); (60, 8); (30, 4); (30, 16); (60, 2) ];
       chaos_soak pool ~sessions:60;
       storm pool ~sessions:120)
 

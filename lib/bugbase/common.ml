@@ -69,7 +69,8 @@ let memo_store tbl key v =
   Hashtbl.replace tbl key v;
   Mutex.unlock memo_lock
 
-let is_target_failure_rep (bug : t) (rep : Exec.Failure.report) =
+(* Does a report match the Table 1 failure this bug models? *)
+let is_target_failure (bug : t) (rep : Exec.Failure.report) =
   Exec.Failure.kind_tag rep.kind = bug.target_kind_tag
   && (Ir.Program.loc_of bug.program rep.pc).line = bug.target_line
 
@@ -88,7 +89,7 @@ let canonical_failing_executed (bug : t) =
             bug.program (bug.workload_of c)
         in
         match r.outcome with
-        | Exec.Interp.Failed rep when is_target_failure_rep bug rep -> Some r
+        | Exec.Interp.Failed rep when is_target_failure bug rep -> Some r
         | _ -> find (c + 1)
     in
     let executed =
@@ -122,26 +123,6 @@ let root_cause_iids (bug : t) = iids_for_lines bug bug.root_lines
 (* Deterministic workload seed derivation: spreads client indexes
    across seeds without clustering. *)
 let seed_of_client c = (c * 2654435761) land 0x3FFFFFFF
-
-(* Find a failing seed quickly (used by tests and examples). *)
-let find_failing_run ?(max_runs = 1000) ?(max_steps = 400_000) (bug : t) =
-  let rec go c =
-    if c >= max_runs then None
-    else
-      let r =
-        Exec.Interp.run ~max_steps ~preempt_prob:bug.preempt_prob bug.program
-          (bug.workload_of c)
-      in
-      match r.outcome with
-      | Exec.Interp.Failed rep -> Some (c, rep)
-      | Exec.Interp.Success -> go (c + 1)
-  in
-  go 0
-
-(* Does a report match the Table 1 failure this bug models? *)
-let is_target_failure (bug : t) (rep : Exec.Failure.report) =
-  Exec.Failure.kind_tag rep.kind = bug.target_kind_tag
-  && (Ir.Program.loc_of bug.program rep.pc).line = bug.target_line
 
 (* The production failure report that triggers the diagnosis: the first
    occurrence of the *target* failure across production clients. *)

@@ -92,13 +92,12 @@ let step h x = ((h lxor x) * 0x9E3779B97F4A7C1) land 0x3FFFFFFFFFFFFFFF
    bytes* (header fields mixed in first): every report field is in the
    bytes, so one pass over the wire form covers them all.
 
-   Payload field order is chosen so a single forward scan classifies
-   rejects in the validation layers' priority: [r_pt_errors] comes
-   first (dropped/damaged-trace beats bad-payload), then the sections
-   whose statement ids are range-checked in order — executed,
-   branches, traps.  {!ingest} exploits this: it scans the bytes
-   allocation-free, and only a report that passes every layer is
-   materialised into a [Client.report].
+   Payload field order is the validation layers' priority:
+   [r_pt_errors] comes first (dropped/damaged-trace beats bad-payload),
+   then the sections whose statement ids are range-checked in order —
+   executed, branches, traps.  One reader, {!read_report}, decodes the
+   payload and checks it as it goes, so {!ingest} walks an envelope's
+   bytes once and stops at the first field that decides a reject.
 
    Encoders write through a reusable per-worker {!arena}
    ([Parallel.Pool] gives each domain its own), so steady-state
@@ -137,18 +136,6 @@ module Encode = struct
     | 8 -> Exec.Failure.Type_error (W.get_string r)
     | _ -> raise W.Short
 
-  let skip_kind r =
-    match W.get_uint r with
-    | 4 | 8 -> W.skip_string r
-    | n when n >= 1 && n <= 7 -> ()
-    | _ -> raise W.Short
-
-  let put_list b f l =
-    W.put_uint b (List.length l);
-    List.iter (f b) l
-
-  let get_list r f = List.init (W.get_uint r) (fun _ -> f r)
-
   let put_pt_error b (tid, (e : Hw.Pt.error)) =
     W.put_uint b tid;
     match e with
@@ -176,7 +163,7 @@ module Encode = struct
   let put_report b (r : Client.report) =
     W.put_int b r.Client.r_seed;
     (* pt errors lead the payload: see the module comment. *)
-    put_list b put_pt_error r.Client.r_pt_errors;
+    W.put_list b put_pt_error r.Client.r_pt_errors;
     (match r.Client.r_outcome with
      | Exec.Interp.Success -> W.put_uint b 1
      | Exec.Interp.Failed rep ->
@@ -184,7 +171,7 @@ module Encode = struct
        put_kind b rep.Exec.Failure.kind;
        W.put_int b rep.Exec.Failure.pc;
        W.put_uint b rep.Exec.Failure.tid;
-       put_list b W.put_string rep.Exec.Failure.stack;
+       W.put_list b W.put_string rep.Exec.Failure.stack;
        W.put_string b rep.Exec.Failure.message);
     (match r.Client.r_signature with
      | None -> W.put_uint b 0
@@ -192,11 +179,11 @@ module Encode = struct
        W.put_uint b 1;
        W.put_string b s.Exec.Failure.s_kind;
        W.put_int b s.Exec.Failure.s_pc;
-       put_list b W.put_string s.Exec.Failure.s_stack);
+       W.put_list b W.put_string s.Exec.Failure.s_stack);
     (* Executed statements, per thread: iids are delta-encoded against
        their predecessor — control flow is local, so deltas are mostly
        one byte. *)
-    put_list b
+    W.put_list b
       (fun b (tid, iids) ->
         W.put_uint b tid;
         W.put_uint b (List.length iids);
@@ -207,12 +194,12 @@ module Encode = struct
                iid)
              0 iids))
       r.Client.r_executed;
-    put_list b
+    W.put_list b
       (fun b ((iid : int), taken) ->
         W.put_int b iid;
         W.put_bool b taken)
       r.Client.r_branches;
-    put_list b
+    W.put_list b
       (fun b (t : Hw.Watchpoint.trap) ->
         W.put_uint b t.Hw.Watchpoint.w_seq;
         W.put_uint b t.Hw.Watchpoint.w_tid;
@@ -238,9 +225,45 @@ module Encode = struct
     W.put_float b r.Client.r_extra_cycles;
     W.put_uint b r.Client.r_steps
 
-  let get_report r : Client.report =
+  (* A reject the payload bytes justify, raised by {!read_report} at
+     the field that decides it. *)
+  exception Reject of reject
+
+  let trace_reject (tid, (e : Hw.Pt.error)) =
+    match e with
+    | Hw.Pt.Empty_stream -> Dropped_trace tid
+    | e ->
+      Damaged_trace
+        (Printf.sprintf "thread %d: %s" tid (Hw.Pt.error_to_string e))
+
+  (* The one payload reader.  With [n_instrs] it validates as it
+     decodes, in the layers' priority: the first pt error decides the
+     reject and nothing after it is read; a section holding a statement
+     id outside [0, n_instrs) is read to its end and refused, and later
+     sections are not read.  Without it, it decodes what {!put_report}
+     wrote (snapshot records, whose reports were validated on arrival).
+     Raises [Reject], or [W.Short] on truncated or malformed bytes. *)
+  let read_report ?n_instrs r : Client.report =
     let r_seed = W.get_int r in
-    let r_pt_errors = get_list r get_pt_error in
+    let r_pt_errors =
+      match n_instrs with
+      | None -> W.get_list r get_pt_error
+      | Some _ ->
+        let n = W.get_uint r in
+        if n < 0 then raise W.Short;
+        if n > 0 then raise (Reject (trace_reject (get_pt_error r)));
+        []
+    in
+    let bad = ref false in
+    let iid i =
+      (match n_instrs with
+       | Some n when i < 0 || i >= n -> bad := true
+       | _ -> ());
+      i
+    in
+    let section what l =
+      if !bad then raise (Reject (Bad_payload what)) else l
+    in
     let r_outcome =
       match W.get_uint r with
       | 1 -> Exec.Interp.Success
@@ -248,7 +271,7 @@ module Encode = struct
         let kind = get_kind r in
         let pc = W.get_int r in
         let tid = W.get_uint r in
-        let stack = get_list r W.get_string in
+        let stack = W.get_list r W.get_string in
         let message = W.get_string r in
         Exec.Interp.Failed
           { Exec.Failure.kind; pc; tid; stack; message }
@@ -260,39 +283,41 @@ module Encode = struct
       | 1 ->
         let s_kind = W.get_string r in
         let s_pc = W.get_int r in
-        let s_stack = get_list r W.get_string in
+        let s_stack = W.get_list r W.get_string in
         Some { Exec.Failure.s_kind; s_pc; s_stack }
       | _ -> raise W.Short
     in
     let r_executed =
-      get_list r (fun r ->
-          let tid = W.get_uint r in
-          let n = W.get_uint r in
-          let last = ref 0 in
-          let iids =
-            List.init n (fun _ ->
-                last := !last + W.get_int r;
-                !last)
-          in
-          (tid, iids))
+      section "executed statement outside the program"
+        (W.get_list r (fun r ->
+             let tid = W.get_uint r in
+             let last = ref 0 in
+             let iids =
+               W.get_list r (fun r ->
+                   last := !last + W.get_int r;
+                   iid !last)
+             in
+             (tid, iids)))
     in
     let r_branches =
-      get_list r (fun r ->
-          let iid = W.get_int r in
-          let taken = W.get_bool r in
-          (iid, taken))
+      section "branch outcome on a statement outside the program"
+        (W.get_list r (fun r ->
+             let i = iid (W.get_int r) in
+             let taken = W.get_bool r in
+             (i, taken)))
     in
     let r_traps =
-      get_list r (fun r ->
-          let w_seq = W.get_uint r in
-          let w_tid = W.get_uint r in
-          let w_iid = W.get_int r in
-          let w_addr = W.get_int r in
-          let w_rw =
-            if W.get_bool r then Exec.Interp.Write else Exec.Interp.Read
-          in
-          let w_value = W.get_value r in
-          Hw.Watchpoint.{ w_seq; w_tid; w_iid; w_addr; w_rw; w_value })
+      section "watchpoint trap on a statement outside the program"
+        (W.get_list r (fun r ->
+             let w_seq = W.get_uint r in
+             let w_tid = W.get_uint r in
+             let w_iid = iid (W.get_int r) in
+             let w_addr = W.get_int r in
+             let w_rw =
+               if W.get_bool r then Exec.Interp.Write else Exec.Interp.Read
+             in
+             let w_value = W.get_value r in
+             Hw.Watchpoint.{ w_seq; w_tid; w_iid; w_addr; w_rw; w_value }))
     in
     let c = Exec.Cost.create () in
     c.Exec.Cost.instrs <- W.get_uint r;
@@ -325,6 +350,8 @@ module Encode = struct
       r_pt_errors;
     }
 
+  let get_report r = read_report r
+
   (* Digest of the payload bytes (from [pos]) with the header fields
      mixed in first; 62 bits, so the fixed 8-byte field holds it
      exactly.  A range fold, not [String.sub] + fold: the verifying
@@ -333,7 +360,7 @@ module Encode = struct
      63-bit int with no truncation, so every payload bit reaches the
      hash — a wider word would shed its top bits into [step]'s 62-bit
      mask and leave them unprotected.  The digest is verified on
-     every delivery, so its cost is the floor of {!check}. *)
+     every delivery, so its cost is the floor of {!ingest}. *)
   let digest ?(pos = 0) ~client ~session ~plan_id payload =
     let h = ref (mix (mix (mix (mix 0x77A9 version) client) session) plan_id) in
     let n = String.length payload in
@@ -392,106 +419,10 @@ module Encode = struct
     r.W.pos <- r.W.pos + 4;
     v
 
-  (* Allocation-free forward scan of the payload: returns the first
-     reject the bytes justify, in the layers' priority order, without
-     materialising a single list. *)
-  let scan_payload ~n_instrs (r : W.reader) =
-    ignore (W.get_int r) (* seed *);
-    let n_errs = W.get_uint r in
-    if n_errs > 0 then begin
-      let tid = W.get_uint r in
-      match W.get_uint r with
-      | 1 -> Error (Dropped_trace tid)
-      | tag ->
-        let detail : Hw.Pt.error =
-          match tag with
-          | 2 -> Hw.Pt.Truncated
-          | 3 -> Hw.Pt.Bad_target (W.get_int r)
-          | 4 -> Hw.Pt.Malformed_packet (W.get_string r)
-          | _ -> raise W.Short
-        in
-        Error
-          (Damaged_trace
-             (Printf.sprintf "thread %d: %s" tid
-                (Hw.Pt.error_to_string detail)))
-    end
-    else begin
-      (match W.get_uint r with
-       | 1 -> ()
-       | 2 ->
-         skip_kind r;
-         ignore (W.get_int r);
-         ignore (W.get_uint r);
-         let n = W.get_uint r in
-         for _ = 1 to n do
-           W.skip_string r
-         done;
-         W.skip_string r
-       | _ -> raise W.Short);
-      (match W.get_uint r with
-       | 0 -> ()
-       | 1 ->
-         W.skip_string r;
-         ignore (W.get_int r);
-         let n = W.get_uint r in
-         for _ = 1 to n do
-           W.skip_string r
-         done
-       | _ -> raise W.Short);
-      let ok = ref true in
-      let n_threads = W.get_uint r in
-      for _ = 1 to n_threads do
-        ignore (W.get_uint r);
-        let n = W.get_uint r in
-        let last = ref 0 in
-        for _ = 1 to n do
-          last := !last + W.get_int r;
-          if !last < 0 || !last >= n_instrs then ok := false
-        done
-      done;
-      if not !ok then Error (Bad_payload "executed statement outside the program")
-      else begin
-        let n = W.get_uint r in
-        for _ = 1 to n do
-          let iid = W.get_int r in
-          ignore (W.get_bool r);
-          if iid < 0 || iid >= n_instrs then ok := false
-        done;
-        if not !ok then
-          Error (Bad_payload "branch outcome on a statement outside the program")
-        else begin
-          let n = W.get_uint r in
-          for _ = 1 to n do
-            ignore (W.get_uint r);
-            ignore (W.get_uint r);
-            let iid = W.get_int r in
-            ignore (W.get_int r);
-            ignore (W.get_bool r);
-            W.skip_value r;
-            if iid < 0 || iid >= n_instrs then ok := false
-          done;
-          if not !ok then
-            Error
-              (Bad_payload "watchpoint trap on a statement outside the program")
-          else begin
-            (* Tail sections: 11 counter varints, 3 floats, steps. *)
-            for _ = 1 to 11 do
-              ignore (W.get_uint r)
-            done;
-            W.skip_float r;
-            W.skip_float r;
-            W.skip_float r;
-            ignore (W.get_uint r);
-            Ok ()
-          end
-        end
-      end
-    end
-
-  (* Every validation layer over the wire form, without materialising
-     the report: [Ok] carries the payload offset so {!ingest} can
-     decode without rescanning the header. *)
-  let scan ?(session = 0) ~n_instrs ~plan_id bytes =
+  (* [ingest ~n_instrs ~plan_id bytes]: the header layers in order,
+     all before the payload is touched, then {!read_report} validates
+     the payload as it decodes it; trailing bytes come last. *)
+  let ingest ?(session = 0) ~n_instrs ~plan_id bytes =
     try
       let r = W.reader bytes in
       let v = W.get_uint r in
@@ -501,10 +432,9 @@ module Encode = struct
         let got_session = get_session r in
         let got_plan = W.get_uint r in
         let d = get_digest r in
-        let payload_start = r.W.pos in
         if
-          digest ~pos:payload_start ~client ~session:got_session
-            ~plan_id:got_plan bytes
+          digest ~pos:r.W.pos ~client ~session:got_session ~plan_id:got_plan
+            bytes
           <> d
         then Error Bad_checksum
         else if got_session <> session then
@@ -512,26 +442,11 @@ module Encode = struct
         else if got_plan <> plan_id then
           Error (Stale_plan { expected = plan_id; got = got_plan })
         else
-          match scan_payload ~n_instrs r with
-          | Error rej -> Error rej
-          | Ok () ->
-            if not (W.eof r) then Error (Bad_payload "trailing envelope bytes")
-            else Ok payload_start
+          let report = read_report ~n_instrs r in
+          if W.eof r then Ok report
+          else Error (Bad_payload "trailing envelope bytes")
       end
-    with W.Short -> Error (Bad_payload "truncated envelope")
-
-  let check ?(session = 0) ~n_instrs ~plan_id bytes =
-    match scan ~session ~n_instrs ~plan_id bytes with
-    | Ok (_ : int) -> Ok ()
-    | Error _ as e -> e
-
-  (* [ingest ~n_instrs ~plan_id bytes]: one allocation-free scan
-     classifies the reject, and only an accepted report is
-     materialised. *)
-  let ingest ?(session = 0) ~n_instrs ~plan_id bytes =
-    match scan ~session ~n_instrs ~plan_id bytes with
-    | Error rej -> Error rej
-    | Ok payload_start -> (
-      try Ok (get_report (W.reader ~pos:payload_start bytes))
-      with W.Short -> Error (Bad_payload "truncated envelope"))
+    with
+    | W.Short -> Error (Bad_payload "truncated envelope")
+    | Reject rej -> Error rej
 end

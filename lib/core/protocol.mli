@@ -8,7 +8,9 @@
     under a previous iteration's plan is useless because its tracked
     set and watchpoint rotation no longer match); the client-side PT
     decoder's typed damage flags (structure); and statement-id range
-    checks (semantics). *)
+    checks (semantics).  The header layers run before the payload is
+    touched; the last two run inside the one payload reader, as it
+    decodes, so an envelope's bytes are read once. *)
 
 (** Current protocol version (3: the multi-bug service era — the
     envelope is keyed by diagnosis session as well as fleet slot, so a
@@ -47,8 +49,8 @@ val reject_to_string : reject -> string
 
     Payload field order mirrors the layers' reject priority
     ([r_pt_errors] lead, then executed / branches / traps), so
-    {!Encode.ingest} classifies rejects with one allocation-free
-    forward scan and materialises only accepted reports. *)
+    {!Encode.ingest} decodes and validates in one forward read and
+    stops at the first field that decides a reject. *)
 module Encode : sig
   (** Reusable encode scratch; give each [Parallel.Pool] worker its
       own.  Buffers grow to the fleet's largest report and stay
@@ -64,22 +66,22 @@ module Encode : sig
     arena -> ?session:int -> client:int -> plan_id:int -> Client.report ->
     string
 
-  (** [check ~n_instrs ~plan_id bytes] runs every validation layer of
-      {!ingest} without materialising the report: the allocation-free
-      integrity verdict a relay (or a server deciding whether a
-      delivery is worth decoding) pays per envelope.  Never raises. *)
-  val check :
-    ?session:int ->
-    n_instrs:int -> plan_id:int -> string -> (unit, reject) result
+  (** [ingest ~n_instrs ~plan_id bytes] validates an envelope and
+      decodes its report in one read.  [n_instrs] is the exclusive
+      upper bound on valid statement ids (iids are 1-based, so pass
+      max iid + 1).  [session] (default 0, the id single-bug drivers
+      use) is the id of the diagnosis session doing the validating.
 
-  (** [ingest ~n_instrs ~plan_id bytes] runs every validation layer in
-      one forward scan and decodes the report only once every layer
-      has passed; [Error] carries the first failure.  [n_instrs] is
-      the exclusive upper bound on valid statement ids (iids are
-      1-based, so pass max iid + 1).  [session] (default 0, the id
-      single-bug drivers use) is the id of the diagnosis session doing
-      the validating.  Never raises — arbitrary bytes yield a
-      [reject]. *)
+      [Error] carries the first failure, in this priority: version,
+      digest, session, plan (all before the payload is read); then the
+      first PT error ([Dropped_trace] for an empty ring, else
+      [Damaged_trace]; nothing after it is read); then an
+      out-of-range statement id in the executed, branch or trap
+      section, in that order ([Bad_payload]); then trailing bytes.  A
+      short read or a negative count anywhere is
+      [Bad_payload "truncated envelope"].
+
+      Never raises — arbitrary bytes yield a [reject]. *)
   val ingest :
     ?session:int ->
     n_instrs:int -> plan_id:int -> string -> (Client.report, reject) result
@@ -96,8 +98,10 @@ module Encode : sig
       {!encode} seals inside an envelope). *)
   val put_report : Buffer.t -> Client.report -> unit
 
-  (** Decode one report payload at the reader's cursor.
-      @raise Hw.Wirebuf.Short on truncated bytes. *)
+  (** Decode one report payload at the reader's cursor: the reader
+      {!ingest} runs, without its PT-error and statement-id rejects
+      (snapshot records hold reports that passed them on arrival).
+      @raise Hw.Wirebuf.Short on truncated or malformed bytes. *)
   val get_report : Hw.Wirebuf.reader -> Client.report
 
   (** [digest ?pos ~client ~session ~plan_id payload]: the 62-bit

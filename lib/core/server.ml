@@ -1135,15 +1135,6 @@ module Session = struct
       Printf.sprintf "snapshot disagrees with the spec it was restored \
                       against: %s" what
 
-  let put_list b put l =
-    W.put_uint b (List.length l);
-    List.iter (fun x -> put b x) l
-
-  let get_list r get =
-    let n = W.get_uint r in
-    let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (get r :: acc) in
-    go n []
-
   let put_opt b put = function
     | None -> W.put_uint b 0
     | Some x ->
@@ -1257,14 +1248,14 @@ module Session = struct
     }
 
   let put_assoc b l =
-    put_list b
+    W.put_list b
       (fun b (k, v) ->
         W.put_string b k;
         W.put_uint b v)
       l
 
   let get_assoc r =
-    get_list r (fun r ->
+    W.get_list r (fun r ->
         let k = W.get_string r in
         let v = W.get_uint r in
         (k, v))
@@ -1295,10 +1286,10 @@ module Session = struct
     W.put_float b t.online_time;
     (* Cross-iteration AsT state. *)
     W.put_uint b t.sigma;
-    put_list b (fun b i -> W.put_uint b i) (IntSet.elements t.discovered);
-    put_list b (fun b i -> W.put_uint b i) (IntSet.elements t.confirmed);
+    W.put_list b W.put_uint (IntSet.elements t.discovered);
+    W.put_list b W.put_uint (IntSet.elements t.confirmed);
     (let cells, total_failing, n_obs = Predict.Stats.Acc.export t.acc in
-     put_list b
+     W.put_list b
        (fun b (p, (f, s, cooc)) ->
          put_pred b p;
          W.put_uint b f;
@@ -1311,9 +1302,9 @@ module Session = struct
        cells;
      W.put_uint b total_failing;
      W.put_uint b n_obs);
-    put_list b
+    W.put_list b
       (fun b (o : Predict.Stats.observation) ->
-        put_list b put_pred o.Predict.Stats.predictors;
+        W.put_list b put_pred o.Predict.Stats.predictors;
         W.put_bool b o.Predict.Stats.failing)
       t.observations;
     put_report_opt b t.repr_failing;
@@ -1329,7 +1320,7 @@ module Session = struct
     W.put_uint b t.client_counter;
     W.put_uint b t.iteration;
     W.put_bool b t.stop;
-    put_list b put_iteration_info t.trace;
+    W.put_list b put_iteration_info t.trace;
     W.put_uint b t.f_dispatched;
     W.put_uint b t.f_valid;
     W.put_uint b t.f_lost;
@@ -1349,13 +1340,13 @@ module Session = struct
     (* The previous iteration's plan, as its tracked list: the plan,
        id and groups are recomputed at restore. *)
     put_opt b
-      (fun b (tracked : iid list) -> put_list b (fun b i -> W.put_uint b i) tracked)
+      (fun b (tracked : iid list) -> W.put_list b W.put_uint tracked)
       (Option.map (fun p -> p.p_plan.Instrument.Plan.tracked) t.prev_plan);
     (* Per-iteration state. *)
     W.put_uint b t.fails;
     W.put_uint b t.succs;
     W.put_uint b t.clients;
-    put_list b
+    W.put_list b
       (fun b ((rep : Client.report), matches) ->
         Protocol.Encode.put_report b rep;
         W.put_bool b matches)
@@ -1368,7 +1359,7 @@ module Session = struct
     W.put_uint b t.it_valid;
     W.put_bool b t.it_exited;
     (* The gathering pass. *)
-    put_list b (fun b i -> W.put_uint b i) g.g_ctx.x_tracked;
+    W.put_list b W.put_uint g.g_ctx.x_tracked;
     W.put_uint b g.g_base;
     W.put_uint b g.g_budget;
     put_opt b
@@ -1441,13 +1432,13 @@ module Session = struct
               let online_time = W.get_float r in
               let sigma = W.get_uint r in
               let discovered =
-                IntSet.of_list (get_list r (fun r -> W.get_uint r))
+                IntSet.of_list (W.get_list r W.get_uint)
               in
               let confirmed =
-                IntSet.of_list (get_list r (fun r -> W.get_uint r))
+                IntSet.of_list (W.get_list r W.get_uint)
               in
               let cells =
-                get_list r (fun r ->
+                W.get_list r (fun r ->
                     let p = get_pred r in
                     let f = W.get_uint r in
                     let s = W.get_uint r in
@@ -1460,8 +1451,8 @@ module Session = struct
               let n_obs = W.get_uint r in
               let acc = Predict.Stats.Acc.import ~cells ~total_failing ~n_obs in
               let observations =
-                get_list r (fun r ->
-                    let predictors = get_list r get_pred in
+                W.get_list r (fun r ->
+                    let predictors = W.get_list r get_pred in
                     let failing = W.get_bool r in
                     Predict.Stats.{ predictors; failing })
               in
@@ -1481,7 +1472,7 @@ module Session = struct
               let client_counter = W.get_uint r in
               let iteration = W.get_uint r in
               let stop = W.get_bool r in
-              let trace = get_list r get_iteration_info in
+              let trace = W.get_list r get_iteration_info in
               let f_dispatched = W.get_uint r in
               let f_valid = W.get_uint r in
               let f_lost = W.get_uint r in
@@ -1499,13 +1490,13 @@ module Session = struct
               let prev_winner = get_opt r get_pred in
               let win_streak = W.get_uint r in
               let prev_tracked =
-                get_opt r (fun r -> get_list r (fun r -> W.get_uint r))
+                get_opt r (fun r -> W.get_list r W.get_uint)
               in
               let fails = W.get_uint r in
               let succs = W.get_uint r in
               let clients = W.get_uint r in
               let iter_reports =
-                get_list r (fun r ->
+                W.get_list r (fun r ->
                     let rep = Protocol.Encode.get_report r in
                     let matches = W.get_bool r in
                     (rep, matches))
@@ -1517,7 +1508,7 @@ module Session = struct
               let it_quarantined = W.get_uint r in
               let it_valid = W.get_uint r in
               let it_exited = W.get_bool r in
-              let x_tracked = get_list r (fun r -> W.get_uint r) in
+              let x_tracked = W.get_list r W.get_uint in
               let g_base = W.get_uint r in
               let g_budget = W.get_uint r in
               let g_first =

@@ -384,7 +384,6 @@ type decoded = {
   d_data : ptw list;                (* PTWRITE data packets, in TSC order *)
 }
 
-exception Malformed of string
 exception Stop_decode of error
 
 type cursor = {
@@ -520,16 +519,3 @@ let decode_checked program packets =
   (try segments () with Stop_decode e -> if !err = None then err := Some e);
   ( { d_iids = List.rev !iids; d_branches = List.rev !branches; d_data = data },
     !err )
-
-let decode program packets =
-  match decode_checked program packets with
-  | d, None -> d
-  (* A never-enabled stream is benign here: [decode] predates fleet
-     health accounting and its callers treat "no packets" as "ran
-     nothing traced". *)
-  | d, Some Empty_stream -> d
-  | _, Some e -> raise (Malformed (error_to_string e))
-
-(* Decode every stream of a recorder. *)
-let decode_all r program =
-  List.map (fun tid -> (tid, decode program (packets_of r tid))) (all_tids r)

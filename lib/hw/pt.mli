@@ -138,8 +138,6 @@ type decoded = {
   d_data : ptw list;              (** PTWRITE data packets, in TSC order *)
 }
 
-exception Malformed of string
-
 (** [decode_checked program packets] decodes as much of the stream as
     is structurally sound: a damaged stream yields the clean decoded
     prefix plus a typed error — never an out-of-bounds access, never
@@ -148,11 +146,3 @@ exception Malformed of string
     stream from a dropped ring, so it reports the fact and lets the
     caller classify it. *)
 val decode_checked : program -> packet list -> decoded * error option
-
-(** Decode one thread's packet stream against the program.
-    [Empty_stream] is benign here (an empty trace, not a fault).
-    @raise Malformed on a damaged stream. *)
-val decode : program -> packet list -> decoded
-
-(** Decode every stream of a recorder, by thread id. *)
-val decode_all : recorder -> program -> (int * decoded) list

@@ -39,6 +39,10 @@ let put_string b s =
   put_uint b (String.length s);
   Buffer.add_string b s
 
+let put_list b put l =
+  put_uint b (List.length l);
+  List.iter (put b) l
+
 let put_value b (v : Exec.Value.t) =
   match v with
   | Exec.Value.VInt i ->
@@ -92,9 +96,11 @@ let get_float r =
   r.pos <- r.pos + 8;
   Int64.float_of_bits bits
 
+(* [n > limit - pos], not [pos + n > limit]: a varint length near
+   [max_int] would wrap the sum negative and pass. *)
 let get_string r =
   let n = get_uint r in
-  if n < 0 || r.pos + n > r.limit then raise Short;
+  if n < 0 || n > r.limit - r.pos then raise Short;
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
@@ -109,20 +115,15 @@ let get_value r : Exec.Value.t =
   | 6 -> Exec.Value.VUnit
   | _ -> raise Short
 
-(* --- zero-allocation skips, for single-pass validation scans --- *)
-
-let skip_float r =
-  if r.pos + 8 > r.limit then raise Short;
-  r.pos <- r.pos + 8
-
-let skip_string r =
+(* A count read back as negative (a 9-byte varint reaching bit 62) is
+   damage like any other, not an argument error. *)
+let get_list r get =
   let n = get_uint r in
-  if n < 0 || r.pos + n > r.limit then raise Short;
-  r.pos <- r.pos + n
-
-let skip_value r =
-  match byte r with
-  | 1 | 2 | 4 -> ignore (get_int r)
-  | 3 -> skip_string r
-  | 5 | 6 -> ()
-  | _ -> raise Short
+  if n < 0 then raise Short;
+  let[@tail_mod_cons] rec go k =
+    if k = 0 then []
+    else
+      let x = get r in
+      x :: go (k - 1)
+  in
+  go n

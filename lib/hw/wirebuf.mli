@@ -23,6 +23,9 @@ val put_float : Buffer.t -> float -> unit
 val put_string : Buffer.t -> string -> unit
 val put_value : Buffer.t -> Exec.Value.t -> unit
 
+(** A varint element count, then each element. *)
+val put_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
+
 type reader = { src : string; mutable pos : int; limit : int }
 
 (** [reader ?pos ?limit s] reads [s.[pos .. limit-1]] (defaults: the
@@ -41,9 +44,6 @@ val get_float : reader -> float
 val get_string : reader -> string
 val get_value : reader -> Exec.Value.t
 
-(** Zero-allocation skips for single-pass validation scans: advance
-    the cursor past one encoded payload without materialising it. *)
-
-val skip_float : reader -> unit
-val skip_string : reader -> unit
-val skip_value : reader -> unit
+(** A {!put_list} list, elements in order.
+    @raise Short on a negative count as well as on truncation. *)
+val get_list : reader -> (reader -> 'a) -> 'a list

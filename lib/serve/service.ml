@@ -1084,13 +1084,6 @@ let checkpoint t = do_checkpoint t
 
 let request_drain t = t.draining <- true
 
-let shutdown t =
-  request_drain t;
-  drain t;
-  let cs = take_completions t in
-  ignore (do_checkpoint t);
-  cs
-
 type rerror =
   | No_checkpoint
   | Unresolved_spec of string

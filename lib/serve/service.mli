@@ -47,8 +47,9 @@ type spec = {
     active sessions want more than the budget, the ring rotates so no
     session waits more than [max_inflight] rounds for service.
     [checkpoint_every_rounds]: journal a full-state checkpoint every
-    that many rounds ([0] = only the initial and {!shutdown}
-    checkpoints); recovery replays at most that many rounds.
+    that many rounds ([0] = only the initial checkpoint and those
+    asked for with {!checkpoint}); recovery replays at most that many
+    rounds.
     [session_deadline_rounds]: evict a session still undiagnosed that
     many rounds after admission ([0] = no deadline).
     [max_session_strikes]: rounds with raising thunks a session
@@ -216,7 +217,13 @@ val submit : t -> spec -> (admission, sreject) result
     [false] when there is nothing left to do. *)
 val step : t -> bool
 
-(** Run rounds until every queued and admitted session completes. *)
+(** Run rounds until every queued and admitted session completes.
+    It harvests nothing, and a cadence checkpoint is deferred while a
+    completion or shed notice waits to be harvested, so once the first
+    session completes no cadence checkpoint lands until the caller
+    harvests: a kill mid-drain replays the drain from there.  A
+    long-running caller steps and harvests every round instead
+    ({!Drive.run} does). *)
 val drain : t -> unit
 
 (** Completed sessions, in completion order (deterministic). *)
@@ -299,13 +306,8 @@ val checkpoint : t -> bool
 
 (** Stop admitting: every later {!submit} is refused.  Already-queued
     and in-flight sessions still run to completion, so the ledger
-    balances at shutdown. *)
+    balances once they have. *)
 val request_drain : t -> unit
-
-(** Graceful shutdown: {!request_drain}, run every remaining session
-    down, harvest all completions, journal a final checkpoint, return
-    the harvest. *)
-val shutdown : t -> completion list
 
 (** Why {!recover} refused. *)
 type rerror =

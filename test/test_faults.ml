@@ -216,11 +216,27 @@ let payload_of report =
   P.Encode.put_report b report;
   Buffer.contents b
 
-let expect_wire_reject name pred bytes =
-  expect_reject name pred (ingest bytes);
-  (* [check] must agree with [ingest] layer for layer. *)
-  let _, n, p = Lazy.force fixture in
-  expect_reject (name ^ " (check)") pred (P.Encode.check ~n_instrs:n ~plan_id:p bytes)
+let expect_wire_reject name pred bytes = expect_reject name pred (ingest bytes)
+
+(* Seal arbitrary payload bytes under a correct digest, so validation
+   gets past the integrity layer and reaches the payload itself. *)
+let seal payload =
+  let _, _, plan_id = Lazy.force fixture in
+  let b = Buffer.create (String.length payload + 24) in
+  Hw.Wirebuf.put_uint b P.version;
+  Hw.Wirebuf.put_uint b 0 (* client *);
+  Buffer.add_int32_le b 0l (* session *);
+  Hw.Wirebuf.put_uint b plan_id;
+  Buffer.add_int64_le b
+    (Int64.of_int (P.Encode.digest ~client:0 ~session:0 ~plan_id payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+let report_iids (r : Gist.Client.report) =
+  List.concat_map snd r.Gist.Client.r_executed
+  @ List.map fst r.Gist.Client.r_branches
+  @ List.map (fun (t : Hw.Watchpoint.trap) -> t.Hw.Watchpoint.w_iid)
+      r.Gist.Client.r_traps
 
 let protocol =
   [
@@ -309,7 +325,7 @@ let protocol =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* The binary wire envelope: Encode.encode / check / ingest *)
+(* The binary wire envelope: Encode.encode / ingest *)
 
 let wire =
   [
@@ -319,11 +335,6 @@ let wire =
         match ingest (wire_of report) with
         | Ok r ->
           Alcotest.(check bool) "structurally equal" true (r = report)
-        | Error e -> Alcotest.failf "rejected: %s" (P.reject_to_string e));
-    Alcotest.test_case "check accepts what ingest accepts" `Quick (fun () ->
-        let report, n, p = Lazy.force fixture in
-        match P.Encode.check ~n_instrs:n ~plan_id:p (wire_of report) with
-        | Ok () -> ()
         | Error e -> Alcotest.failf "rejected: %s" (P.reject_to_string e));
     Alcotest.test_case "a foreign version byte is rejected first" `Quick
       (fun () ->
@@ -410,6 +421,113 @@ let wire =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Payload validation: sealed payloads (correct digest) whose bytes
+   are not what [put_report] writes *)
+
+let payload =
+  [
+    Alcotest.test_case "a negative list count is a bad payload" `Quick
+      (fun () ->
+        (* The pt-error count as the 9-byte varint that decodes to
+           [min_int]: it must draw a typed reject, not reach a list
+           constructor. *)
+        let report, _, _ = Lazy.force fixture in
+        Alcotest.(check int) "fixture ships no pt errors" 0
+          (List.length report.Gist.Client.r_pt_errors);
+        let p = payload_of report in
+        let seed_len =
+          let b = Buffer.create 16 in
+          Hw.Wirebuf.put_int b report.Gist.Client.r_seed;
+          Buffer.length b
+        in
+        Alcotest.(check char) "count byte" '\000' p.[seed_len];
+        let crafted =
+          String.sub p 0 seed_len
+          ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+          ^ String.sub p (seed_len + 1) (String.length p - seed_len - 1)
+        in
+        match ingest (seal crafted) with
+        | Error (P.Bad_payload _) -> ()
+        | Error r -> Alcotest.failf "wrong reason %s" (P.reject_to_string r)
+        | Ok _ -> Alcotest.fail "negative count accepted");
+    Alcotest.test_case "one trailing byte after a valid payload" `Quick
+      (fun () ->
+        let report, _, _ = Lazy.force fixture in
+        (match ingest (seal (payload_of report)) with
+         | Ok r ->
+           Alcotest.(check bool) "resealed round-trips" true (r = report)
+         | Error e -> Alcotest.failf "rejected: %s" (P.reject_to_string e));
+        expect_wire_reject "bad-payload (trailing)"
+          (function P.Bad_payload _ -> true | _ -> false)
+          (seal (payload_of report ^ "\000")));
+    Alcotest.test_case
+      "a bad executed section outranks a truncated one after it" `Quick
+      (fun () ->
+        let _, n_instrs, _ = Lazy.force fixture in
+        let module W = Hw.Wirebuf in
+        let b = Buffer.create 32 in
+        W.put_int b 7 (* seed *);
+        W.put_uint b 0 (* no pt errors *);
+        W.put_uint b 1 (* success *);
+        W.put_uint b 0 (* no signature *);
+        W.put_uint b 1 (* one thread *);
+        W.put_uint b 0 (* tid *);
+        W.put_uint b 1 (* one executed statement *);
+        W.put_int b (n_instrs + 3);
+        W.put_uint b 5 (* five branch outcomes promised ... *);
+        W.put_int b 1 (* ... and half of one sent *);
+        expect_wire_reject "executed-section bad-payload"
+          (function
+            | P.Bad_payload m -> Astring.String.is_infix ~affix:"executed" m
+            | _ -> false)
+          (seal (Buffer.contents b)));
+    Alcotest.test_case "a string length past the end is a bad payload" `Quick
+      (fun () ->
+        (* A length near [max_int] must not wrap the bounds check. *)
+        let module W = Hw.Wirebuf in
+        let b = Buffer.create 32 in
+        W.put_int b 7 (* seed *);
+        W.put_uint b 0 (* no pt errors *);
+        W.put_uint b 2 (* failed ... *);
+        W.put_uint b 4 (* ... an assertion, whose message length is *);
+        W.put_uint b max_int;
+        Buffer.add_string b "abc";
+        expect_wire_reject "bad-payload (string length)"
+          (function P.Bad_payload _ -> true | _ -> false)
+          (seal (Buffer.contents b)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"resealed payload mutations never raise or leak bad iids"
+         ~count:600
+         QCheck.(
+           list_of_size Gen.(1 -- 4)
+             (triple (int_bound 2) (int_bound 1_000_000) (int_bound 255)))
+         (fun edits ->
+           let report, n_instrs, _ = Lazy.force fixture in
+           let mutated =
+             List.fold_left
+               (fun p (kind, at, v) ->
+                 let len = String.length p in
+                 match kind with
+                 | 0 when len > 0 ->
+                   let b = Bytes.of_string p in
+                   Bytes.set b (at mod len) (Char.chr v);
+                   Bytes.to_string b
+                 | 1 -> String.sub p 0 (at mod (len + 1))
+                 | _ -> p ^ String.make 1 (Char.chr v))
+               (payload_of report) edits
+           in
+           match ingest (seal mutated) with
+           | exception e ->
+             QCheck.Test.fail_reportf "ingest raised %s" (Printexc.to_string e)
+           | Error _ -> true
+           | Ok r ->
+             List.for_all
+               (fun iid -> iid >= 0 && iid < n_instrs)
+               (report_iids r)));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* End to end: diagnosis under an aggressive fault environment *)
 
 let faulty_diagnosis ?(jobs = 0) () =
@@ -479,5 +597,6 @@ let () =
       ("tamper", tamper);
       ("protocol", protocol);
       ("wire", wire);
+      ("payload", payload);
       ("end-to-end", end_to_end);
     ]

@@ -16,7 +16,7 @@ let round_trip ?(args = []) ?(seed = 1) program =
       (I.workload ~args seed)
   in
   Hw.Pt.finish pt;
-  (res, Hw.Pt.decode_all pt program)
+  (res, Tsupport.Decode.all pt program)
 
 let check_round_trip ?(args = []) ?(seed = 1) name program =
   Alcotest.test_case name `Quick (fun () ->
@@ -81,7 +81,7 @@ let branch_outcomes =
           (I.workload ~args:[ Exec.Value.VInt 6 ] 3)
       in
       Hw.Pt.finish pt;
-      let d = Hw.Pt.decode loop_sum (Hw.Pt.packets_of pt 0) in
+      let d = Tsupport.Decode.stream loop_sum (Hw.Pt.packets_of pt 0) in
       Alcotest.(check (list (pair int bool)))
         "outcomes" (List.rev !outcomes) d.d_branches)
 
@@ -141,7 +141,7 @@ let packets =
           Exec.Interp.run ~hooks ~counters uaf (I.workload 1)
         in
         Hw.Pt.finish pt;
-        let d = Hw.Pt.decode uaf (Hw.Pt.packets_of pt 0) in
+        let d = Tsupport.Decode.stream uaf (Hw.Pt.packets_of pt 0) in
         (match res.I.outcome with
          | I.Failed rep ->
            (* everything up to (excluding) the crash pc is decodable *)
@@ -226,7 +226,7 @@ let damaged =
       (fun () ->
         let program = loop_sum in
         let pkts = healthy_packets program in
-        let full = Hw.Pt.decode program pkts in
+        let full = Tsupport.Decode.stream program pkts in
         for salt = 0 to 40 do
           let cut = Faults.Tamper.truncate_packets ~salt pkts in
           let d, err = Hw.Pt.decode_checked program cut in
@@ -290,9 +290,6 @@ let damaged =
         Alcotest.(check bool)
           "Empty_stream, not Truncated" true
           (err = Some Hw.Pt.Empty_stream);
-        (* [decode] treats it as benign: an empty trace, not a fault. *)
-        let d = Hw.Pt.decode straight [] in
-        Alcotest.(check (list int)) "decode: no iids" [] d.d_iids;
         (* The byte codec makes the same distinction: zero bytes are a
            dropped ring, while a well-formed empty ring is clean. *)
         (match Hw.Pt.Wire.decode "" with

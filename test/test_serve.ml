@@ -368,10 +368,6 @@ let migration =
           Bytes.blit b 6 out 2 (Bytes.length b - 6);
           Bytes.to_string out
         in
-        (match P.Encode.check ~n_instrs ~plan_id v2 with
-         | Error (P.Bad_version 2) -> ()
-         | Error r -> Alcotest.failf "check: %s" (P.reject_to_string r)
-         | Ok () -> Alcotest.fail "v2 envelope accepted");
         match P.Encode.ingest ~n_instrs ~plan_id v2 with
         | Error (P.Bad_version 2) -> ()
         | Error r -> Alcotest.failf "ingest: %s" (P.reject_to_string r)
@@ -386,19 +382,19 @@ let migration =
         in
         (* Wrong session AND stale plan: the session check wins. *)
         (match
-           P.Encode.check ~session:9 ~n_instrs ~plan_id:(plan_id + 1) bytes
+           P.Encode.ingest ~session:9 ~n_instrs ~plan_id:(plan_id + 1) bytes
          with
          | Error (P.Wrong_session { expected = 9; got = 5 }) -> ()
-         | Error r -> Alcotest.failf "check: %s" (P.reject_to_string r)
-         | Ok () -> Alcotest.fail "mis-routed envelope accepted");
+         | Error r -> Alcotest.failf "ingest: %s" (P.reject_to_string r)
+         | Ok _ -> Alcotest.fail "mis-routed envelope accepted");
         (* Right session: the freshness layer takes over again. *)
         (match
-           P.Encode.check ~session:5 ~n_instrs ~plan_id:(plan_id + 1) bytes
+           P.Encode.ingest ~session:5 ~n_instrs ~plan_id:(plan_id + 1) bytes
          with
          | Error (P.Stale_plan { got; _ }) ->
            Alcotest.(check int) "stale got" plan_id got
-         | Error r -> Alcotest.failf "check: %s" (P.reject_to_string r)
-         | Ok () -> Alcotest.fail "stale envelope accepted");
+         | Error r -> Alcotest.failf "ingest: %s" (P.reject_to_string r)
+         | Ok _ -> Alcotest.fail "stale envelope accepted");
         (* Right session, right plan: accepted. *)
         match P.Encode.ingest ~session:5 ~n_instrs ~plan_id bytes with
         | Ok _ -> ()
