@@ -45,28 +45,25 @@ let cf_df_split () =
       else (0.0, 0.0))
     (Harness.results ())
 
-let sw_trace_overheads () =
-  Harness.map_bugs
-    (fun (bug : Bugbase.Common.t) ->
-      let total = ref 0.0 and base = ref 0.0 in
-      for c = 0 to 7 do
-        let counters = Exec.Cost.create () in
-        let hooks = Exec.Interp.no_hooks () in
-        hooks.step <-
-          (fun ~tid:_ ~instr:_ ->
-            counters.sw_trace_events <- counters.sw_trace_events + 1);
-        hooks.branch <-
-          (fun ~tid:_ ~instr:_ ~taken:_ ->
-            counters.sw_trace_events <- counters.sw_trace_events + 4);
-        let _ =
-          Exec.Interp.run ~hooks ~counters ~preempt_prob:bug.preempt_prob
-            bug.program (bug.workload_of c)
-        in
-        total := !total +. Exec.Cost.sw_trace_extra_cycles counters;
-        base := !base +. Exec.Cost.base_cycles counters
-      done;
-      if !base > 0.0 then 100.0 *. !total /. !base else 0.0)
-    Bugbase.Registry.all
+let sw_trace_pct (bug : Bugbase.Common.t) =
+  let total = ref 0.0 and base = ref 0.0 in
+  for c = 0 to 7 do
+    let counters = Exec.Cost.create () in
+    let hooks = Exec.Interp.no_hooks () in
+    hooks.step <-
+      (fun ~tid:_ ~instr:_ ->
+        counters.sw_trace_events <- counters.sw_trace_events + 1);
+    hooks.branch <-
+      (fun ~tid:_ ~instr:_ ~taken:_ ->
+        counters.sw_trace_events <- counters.sw_trace_events + 4);
+    let _ =
+      Exec.Interp.run ~hooks ~counters ~preempt_prob:bug.preempt_prob
+        bug.program (bug.workload_of c)
+    in
+    total := !total +. Exec.Cost.sw_trace_extra_cycles counters;
+    base := !base +. Exec.Cost.base_cycles counters
+  done;
+  if !base > 0.0 then 100.0 *. !total /. !base else 0.0
 
 let compute_memo : t Lazy.t =
   lazy
@@ -84,7 +81,7 @@ let compute_memo : t Lazy.t =
      let fig13 = Fig13.rows () in
      let rr_avg = Harness.mean (List.map (fun r -> r.Fig13.rr_pct) fig13) in
      let pt_avg = Harness.mean (List.map (fun r -> r.Fig13.pt_pct) fig13) in
-     let sw = sw_trace_overheads () in
+     let sw = Harness.map_bugs sw_trace_pct Bugbase.Registry.all in
      {
        gist_avg_overhead_pct = gist_avg;
        cf_overhead_range = (fmin cfs, fmax cfs);

@@ -18,5 +18,10 @@ type t = {
   fleet_anomalies : int;  (** lost + rejected + quarantined *)
 }
 
+(** Software control-flow tracing overhead (%) of one bug over eight
+    production runs: every executed instruction pays an
+    instrumentation event, branches pay extra. *)
+val sw_trace_pct : Bugbase.Common.t -> float
+
 val compute : unit -> t
 val print : unit -> unit

@@ -185,6 +185,38 @@ let verdict_of_sketch (case : Gen.case) (sk : Fsketch.Sketch.t) =
     if accepted case top.Predict.Stats.predictor then Correct
     else Wrong_root_cause (describe case.c_program top.Predict.Stats.predictor)
 
+(* The ground-truth accept oracle handed to diagnosis: stop as soon
+   as the top predictor is an accepted root cause. *)
+let oracle (case : Gen.case) (sk : Fsketch.Sketch.t) =
+  match sk.predictors with
+  | top :: _ -> accepted case top.Predict.Stats.predictor
+  | [] -> false
+
+(* The probes ahead of diagnosis: the failure to diagnose, or the
+   verdict that decides the case without diagnosing it. *)
+let prepare case =
+  match divergence case with
+  | Some d -> Error (Divergence d)
+  | None ->
+    (match (probe case).p_target with
+     | None -> Error No_failure
+     | Some failure -> Ok failure)
+
+let undiagnosed verdict =
+  { verdict; top = None; iterations = 0; total_runs = 0; fleet = None }
+
+let outcome_of_diagnosis (case : Gen.case) (d : Gist.Server.diagnosis) =
+  {
+    verdict = verdict_of_sketch case d.sketch;
+    top =
+      (match d.sketch.predictors with
+       | t :: _ -> Some (describe case.c_program t.Predict.Stats.predictor)
+       | [] -> None);
+    iterations = d.iterations;
+    total_runs = d.total_runs;
+    fleet = Some d.fleet;
+  }
+
 (* [check case]: divergence probe, failure probe, full [diagnose],
    verdict.  Deterministic: every stage is a pure function of the
    case, fault injection included ([c_faults] seeds its own stream).
@@ -196,63 +228,17 @@ let verdict_of_sketch (case : Gen.case) (sk : Fsketch.Sketch.t) =
    production (the adaptive-vs-exhaustive comparisons run both modes
    this way so the stopping rule is the only difference). *)
 let check ?pool ?(early_exit = false) ?(use_oracle = true) (case : Gen.case) =
-  match divergence case with
-  | Some d ->
-    {
-      verdict = Divergence d;
-      top = None;
-      iterations = 0;
-      total_runs = 0;
-      fleet = None;
-    }
-  | None ->
-    (match probe case with
-     | { p_target = None; _ } ->
-       {
-         verdict = No_failure;
-         top = None;
-         iterations = 0;
-         total_runs = 0;
-         fleet = None;
-       }
-     | { p_target = Some failure; _ } ->
-       (try
-          let config =
-            { (config_of case) with Gist.Config.early_exit } in
-          let oracle =
-            if use_oracle then
-              Some
-                (fun (sk : Fsketch.Sketch.t) ->
-                  match sk.predictors with
-                  | top :: _ -> accepted case top.Predict.Stats.predictor
-                  | [] -> false)
-            else None
-          in
-          let d =
-            Gist.Server.diagnose ~config ?pool ?oracle
-              ~bug_name:case.c_name
-              ~failure_type:(F.kind_to_string failure.F.kind)
-              ~program:case.c_program
-              ~workload_of:(Gen.workload_of case)
-              ~failure ()
-          in
-          let top =
-            match d.Gist.Server.sketch.predictors with
-            | t :: _ -> Some (describe case.c_program t.Predict.Stats.predictor)
-            | [] -> None
-          in
-          {
-            verdict = verdict_of_sketch case d.Gist.Server.sketch;
-            top;
-            iterations = d.Gist.Server.iterations;
-            total_runs = d.Gist.Server.total_runs;
-            fleet = Some d.Gist.Server.fleet;
-          }
-        with e ->
-          {
-            verdict = Crash (Printexc.to_string e);
-            top = None;
-            iterations = 0;
-            total_runs = 0;
-            fleet = None;
-          }))
+  match prepare case with
+  | Error verdict -> undiagnosed verdict
+  | Ok failure ->
+    (try
+       let config = { (config_of case) with Gist.Config.early_exit } in
+       outcome_of_diagnosis case
+         (Gist.Server.diagnose ~config ?pool
+            ?oracle:(if use_oracle then Some (oracle case) else None)
+            ~bug_name:case.c_name
+            ~failure_type:(F.kind_to_string failure.F.kind)
+            ~program:case.c_program
+            ~workload_of:(Gen.workload_of case)
+            ~failure ())
+     with e -> undiagnosed (Crash (Printexc.to_string e)))

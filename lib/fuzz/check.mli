@@ -64,6 +64,21 @@ type outcome = {
 
 val verdict_of_sketch : Gen.case -> Fsketch.Sketch.t -> verdict
 
+(** The ground-truth accept oracle diagnosis stops on: the top
+    predictor is an accepted root cause. *)
+val oracle : Gen.case -> Fsketch.Sketch.t -> bool
+
+(** The probes ahead of diagnosis, as {!check} runs them: [Ok
+    failure] when the case goes on to diagnosis, [Error] with the
+    [Divergence] or [No_failure] verdict that decides it otherwise. *)
+val prepare : Gen.case -> (Exec.Failure.report, verdict) result
+
+(** The outcome of a case decided without a diagnosis. *)
+val undiagnosed : verdict -> outcome
+
+(** The outcome of a case's finished diagnosis. *)
+val outcome_of_diagnosis : Gen.case -> Gist.Server.diagnosis -> outcome
+
 (** Divergence probe, failure probe, full {!Gist.Server.diagnose},
     verdict.  A pure function of the case, fault injection included;
     the probes run unmonitored (faults only touch the monitored

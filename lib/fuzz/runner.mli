@@ -42,6 +42,10 @@ val min_pattern_accuracy : report -> float
     patterns with no case skipped — a report's [r_stats]. *)
 val stats_of : case_report list -> pattern_stats list
 
+(** One case's report line from its checked outcome and, when it was
+    shrunk, the shrinker's result. *)
+val case_report : ?shrink:Shrink.result -> Gen.case -> Check.outcome -> case_report
+
 (** [run ~seed ~count ()] fuzzes [count] cases round-robin over the
     taxonomy.  [jobs] sizes the case-level pool; [shrink] (default on)
     minimizes every failing case; [retries] candidate seeds are

@@ -17,66 +17,19 @@ module C = Fuzz.Check
 module R = Fuzz.Runner
 module FC = Faults.Chaos
 
-(* What the pre-service probe decided about one case. *)
-type prep =
-  | Verdict of C.verdict (* decided without diagnosing *)
-  | Diagnose of Exec.Failure.report
-
-let prep_case (case : G.case) =
-  match C.divergence case with
-  | Some d -> Verdict (C.Divergence d)
-  | None ->
-    (match (C.probe case).C.p_target with
-     | None -> Verdict C.No_failure
-     | Some failure -> Diagnose failure)
-
 let spec_of ~early_exit (case : G.case) failure =
   {
     Service.sp_name = case.G.c_name;
     sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
     sp_config = { (C.config_of case) with Gist.Config.early_exit };
-    sp_oracle =
-      Some
-        (fun (sk : Fsketch.Sketch.t) ->
-          match sk.predictors with
-          | top :: _ -> C.accepted case top.Predict.Stats.predictor
-          | [] -> false);
+    sp_oracle = Some (C.oracle case);
     sp_program = case.G.c_program;
     sp_workload_of = G.workload_of case;
     sp_failure = failure;
     sp_case = Some case;
   }
 
-let report_of_diagnosis (case : G.case) (d : Gist.Server.diagnosis) =
-  let top =
-    match d.Gist.Server.sketch.predictors with
-    | t :: _ -> Some (C.describe case.G.c_program t.Predict.Stats.predictor)
-    | [] -> None
-  in
-  {
-    R.cr_name = case.G.c_name;
-    cr_pattern = case.G.c_pattern;
-    cr_seed = case.G.c_seed;
-    cr_verdict = C.verdict_of_sketch case d.Gist.Server.sketch;
-    cr_top = top;
-    cr_iterations = d.Gist.Server.iterations;
-    cr_total_runs = d.Gist.Server.total_runs;
-    cr_shrink = None;
-    cr_fleet = Some d.Gist.Server.fleet;
-  }
-
-let report_of_verdict (case : G.case) v =
-  {
-    R.cr_name = case.G.c_name;
-    cr_pattern = case.G.c_pattern;
-    cr_seed = case.G.c_seed;
-    cr_verdict = v;
-    cr_top = None;
-    cr_iterations = 0;
-    cr_total_runs = 0;
-    cr_shrink = None;
-    cr_fleet = None;
-  }
+let report_of_verdict case v = R.case_report case (C.undiagnosed v)
 
 type chaos_summary = {
   cs_kills : int;
@@ -101,12 +54,12 @@ let run ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
   in
   Parallel.Pool.with_pool ~jobs (fun pool ->
       (* Pre-service probes fan out across the pool; order preserved. *)
-      let preps = List.combine cases (Parallel.Pool.map pool prep_case cases) in
+      let preps = List.combine cases (Parallel.Pool.map pool C.prepare cases) in
       let specs =
         List.filter_map
           (function
-            | case, Diagnose failure -> Some (spec_of ~early_exit case failure)
-            | _, Verdict _ -> None)
+            | case, Ok failure -> Some (spec_of ~early_exit case failure)
+            | _, Error _ -> None)
           preps
       in
       let oc =
@@ -119,8 +72,8 @@ let run ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
         List.concat_map
           (fun (case, prep) ->
             match prep with
-            | Verdict v -> [ report_of_verdict case v ]
-            | Diagnose _ ->
+            | Error v -> [ report_of_verdict case v ]
+            | Ok _ ->
               let name = case.G.c_name in
               let completion = Hashtbl.find_opt by_name name in
               if FC.poisoned rates ~seed ~name then begin
@@ -136,7 +89,7 @@ let run ?(jobs = 0) ?(retries = 5) ?faults ?(early_exit = false)
                 [
                   (match completion with
                    | Some { Service.c_result = Ok d; _ } ->
-                     report_of_diagnosis case d
+                     R.case_report case (C.outcome_of_diagnosis case d)
                    | Some { Service.c_result = Error f; _ } ->
                      (* Contained session failure: booked as a crash
                         verdict, never as a missing case. *)

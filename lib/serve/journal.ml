@@ -5,15 +5,14 @@
 module W = Hw.Wirebuf
 
 type record =
-  | Submitted of { id : int; name : string; rejected : bool }
+  | Submitted of { id : int; name : string; fp : int; disp : int }
   | Round of { round : int; digest : int }
   | Completed of { id : int; digest : int }
   | Checkpoint of { round : int; state : string }
-  | Triaged of { id : int; name : string; fp : int; disp : int }
 
-(* Triaged payloads carry their own version byte: the disposition
+(* Submission payloads carry their own version byte: the disposition
    vocabulary can grow without a journal-wide version bump. *)
-let triaged_version = 1
+let submitted_version = 1
 
 type entry = Rec of record | Damaged of { kind : int; reason : string }
 
@@ -27,18 +26,21 @@ type t = {
 let magic = '\xA7'
 let version = 1
 
+(* Kind 1 is retired and must not be reused: older journals hold a
+   different submission record under it, which loads as [Damaged]. *)
 let kind_of = function
-  | Submitted _ -> 1
+  | Submitted _ -> 5
   | Round _ -> 2
   | Completed _ -> 3
   | Checkpoint _ -> 4
-  | Triaged _ -> 5
 
 let put_payload b = function
-  | Submitted { id; name; rejected } ->
+  | Submitted { id; name; fp; disp } ->
+    W.put_uint b submitted_version;
     W.put_uint b id;
     W.put_string b name;
-    W.put_bool b rejected
+    W.put_uint b fp;
+    W.put_uint b disp
   | Round { round; digest } ->
     W.put_uint b round;
     W.put_uint b digest
@@ -48,20 +50,9 @@ let put_payload b = function
   | Checkpoint { round; state } ->
     W.put_uint b round;
     W.put_string b state
-  | Triaged { id; name; fp; disp } ->
-    W.put_uint b triaged_version;
-    W.put_uint b id;
-    W.put_string b name;
-    W.put_uint b fp;
-    W.put_uint b disp
 
 let get_payload kind r =
   match kind with
-  | 1 ->
-    let id = W.get_uint r in
-    let name = W.get_string r in
-    let rejected = W.get_bool r in
-    Submitted { id; name; rejected }
   | 2 ->
     let round = W.get_uint r in
     let digest = W.get_uint r in
@@ -75,12 +66,12 @@ let get_payload kind r =
     let state = W.get_string r in
     Checkpoint { round; state }
   | 5 ->
-    if W.get_uint r <> triaged_version then raise W.Short;
+    if W.get_uint r <> submitted_version then raise W.Short;
     let id = W.get_uint r in
     let name = W.get_string r in
     let fp = W.get_uint r in
     let disp = W.get_uint r in
-    Triaged { id; name; fp; disp }
+    Submitted { id; name; fp; disp }
   | _ -> raise W.Short
 
 let record_digest ~kind payload =
@@ -91,7 +82,7 @@ let create () = { buf = Buffer.create 4096; ckpts = [] }
 let append t record =
   (match record with
    | Checkpoint _ -> t.ckpts <- Buffer.length t.buf :: t.ckpts
-   | Submitted _ | Round _ | Completed _ | Triaged _ -> ());
+   | Submitted _ | Round _ | Completed _ -> ());
   let p = Buffer.create 64 in
   put_payload p record;
   let payload = Buffer.contents p in
@@ -131,7 +122,7 @@ let load_frame r =
       else begin
         let kind = W.get_uint r in
         let len = W.get_uint r in
-        if len < 0 || r.W.pos + len + 8 > r.W.limit then `Torn
+        if len < 0 || len > r.W.limit - r.W.pos - 8 then `Torn
         else begin
           let payload = String.sub r.W.src r.W.pos len in
           r.W.pos <- r.W.pos + len;
@@ -194,7 +185,7 @@ let corrupt_last_checkpoint ~salt bytes =
            else
              let kind = W.get_uint r in
              let len = W.get_uint r in
-             if len < 0 || r.W.pos + len + 8 > r.W.limit then None
+             if len < 0 || len > r.W.limit - r.W.pos - 8 then None
              else begin
                let off = r.W.pos in
                r.W.pos <- r.W.pos + len + 8;

@@ -18,9 +18,18 @@
     the tree. *)
 
 type record =
-  | Submitted of { id : int; name : string; rejected : bool }
-      (** an admission decision; rejected submissions are journaled
-          too, so replay reproduces ticket ids exactly *)
+  | Submitted of { id : int; name : string; fp : int; disp : int }
+      (** one admission decision, whatever its fate — rejected and
+          shed submissions are journaled too, so replay reproduces
+          ticket ids exactly: the submission's fingerprint ([0] when
+          the service runs without triage) and its disposition —
+          fresh-lane ticket, recurrence-lane ticket, coalesced, shed,
+          or busy-rejected ({!Service} owns the encoding).  The
+          payload carries its own version byte so the disposition
+          vocabulary can grow without a journal-wide bump; replay
+          re-derives the decision through the real [submit] and
+          audits it against this record.  (Kind 1, a retired
+          three-field submission record, loads as {!entry.Damaged}.) *)
   | Round of { round : int; digest : int }
       (** one scheduler round completed; [digest] folds the served
           sessions' audit state — recovery compares it to detect
@@ -31,15 +40,6 @@ type record =
   | Checkpoint of { round : int; state : string }
       (** full service snapshot after [round]; [state] is
           {!Service}'s own codec output *)
-  | Triaged of { id : int; name : string; fp : int; disp : int }
-      (** a triage-gated admission decision (replaces [Submitted]
-          when the service runs with triage on): the submission's
-          fingerprint and its disposition — fresh-lane ticket,
-          recurrence-lane ticket, coalesced, shed, or busy-rejected
-          ({!Service} owns the encoding).  The payload carries its own
-          version byte so the disposition vocabulary can grow without
-          a journal-wide bump; replay re-derives the decision through
-          the real [submit] and audits it against this record *)
 
 (** What {!load} recovered a frame into. *)
 type entry =

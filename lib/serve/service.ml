@@ -169,7 +169,7 @@ type lane = Fresh_lane | Recur_lane
 
 let lane_label = function Fresh_lane -> "fresh" | Recur_lane -> "recur"
 
-(* Journal disposition codes for [Journal.Triaged]. *)
+(* Journal disposition codes for [Journal.Submitted]. *)
 let disp_fresh = 0
 and disp_recur = 1
 and disp_coalesced = 2
@@ -506,37 +506,33 @@ let retry_hint cfg ~queued =
 
 (* Drop the most recently queued recurrence ticket (FIFO fairness:
    the oldest waiter keeps its place), booking it shed — with a typed
-   notice, never silently — and restoring its cluster.  [None] when
-   the recurrence lane is empty. *)
+   notice, never silently — and restoring its cluster.  Only called
+   with a non-empty recurrence lane. *)
 let shed_newest_recurrence t =
-  if Queue.is_empty t.rqueue then None
-  else begin
-    let keep = Queue.length t.rqueue - 1 in
-    let rec pop i =
-      let p = Queue.take t.rqueue in
-      if i < keep then begin
-        Queue.add p t.rqueue;
-        pop (i + 1)
-      end
-      else p
-    in
-    let victim = pop 0 in
-    t.shed <- t.shed + 1;
-    (match (t.triage, victim.p_revert) with
-     | Some tri, Some (canonical, done_round) ->
-       Triage.revert_reopen tri ~fp:victim.p_fp ~canonical ~done_round
-     | _ -> ());
-    t.sheds <-
-      {
-        sh_id = victim.p_id;
-        sh_name = victim.p_spec.sp_name;
-        sh_fp = victim.p_fp;
-        sh_round = t.rounds;
-        sh_retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-      }
-      :: t.sheds;
-    Some victim
-  end
+  let keep = Queue.length t.rqueue - 1 in
+  let rec pop i =
+    let p = Queue.take t.rqueue in
+    if i < keep then begin
+      Queue.add p t.rqueue;
+      pop (i + 1)
+    end
+    else p
+  in
+  let victim = pop 0 in
+  t.shed <- t.shed + 1;
+  (match (t.triage, victim.p_revert) with
+   | Some tri, Some (canonical, done_round) ->
+     Triage.revert_reopen tri ~fp:victim.p_fp ~canonical ~done_round
+   | _ -> ());
+  t.sheds <-
+    {
+      sh_id = victim.p_id;
+      sh_name = victim.p_spec.sp_name;
+      sh_fp = victim.p_fp;
+      sh_round = t.rounds;
+      sh_retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
+    }
+    :: t.sheds
 
 (* Admission control: a submission is ticketed into its lane,
    coalesced onto an existing cluster, or refused with typed
@@ -546,128 +542,93 @@ let shed_newest_recurrence t =
    and replays exactly: submitted = completed + rejected + coalesced
    + shed + queued + in-flight.
 
-   [submit_triaged] additionally returns the journal disposition code
-   so the recovery replay can audit re-derived decisions; the public
-   [submit] discards it. *)
-let submit_triaged t spec =
+   One path for both settings of [triage]: a triage-less service
+   skips fingerprinting ([fp = 0]) and classifies every submission
+   [Triage.New], so with the recurrence lane always empty the [room]
+   test below is the plain single-queue bound.
+
+   [admit_decision] additionally returns the journal disposition code
+   and the fingerprint, so the recovery replay can audit re-derived
+   decisions; the public [submit] discards them. *)
+let admit_decision t spec =
   t.submitted <- t.submitted + 1;
   let id = t.submitted in
   let name = spec.sp_name in
-  match t.triage with
-  | None ->
-    (* Triage off: the original single-queue admission, journaled as
-       [Submitted]. *)
-    let refuse () =
-      t.rejected <- t.rejected + 1;
-      jrnl t (Journal.Submitted { id; name; rejected = true });
-      ( Error
-          (Busy
-             {
-               inflight = inflight t;
-               queued = queued t;
-               retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-             }),
-        disp_busy,
-        0 )
-    in
-    if t.draining then refuse ()
-    else if Queue.length t.queue >= t.cfg.max_queue && t.cfg.max_queue > 0 then
-      refuse ()
-    else if t.cfg.max_queue = 0 && inflight t >= t.cfg.max_inflight then
-      (* No queue at all: admission happens next [step]; refuse once
-         the in-flight cap alone is saturated. *)
-      refuse ()
-    else begin
-      Queue.add
-        { p_id = id; p_spec = spec; p_fp = 0; p_round = t.rounds; p_revert = None }
-        t.queue;
-      jrnl t (Journal.Submitted { id; name; rejected = false });
-      (Ok (Ticket id), disp_fresh, 0)
-    end
-  | Some tri ->
-    let fp = fingerprint_of_spec spec in
-    let record disp = jrnl t (Journal.Triaged { id; name; fp; disp }) in
-    let busy () =
-      t.rejected <- t.rejected + 1;
-      record disp_busy;
-      ( Error
-          (Busy
-             {
-               inflight = inflight t;
-               queued = queued t;
-               retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-             }),
-        disp_busy )
-    in
-    let shed () =
-      t.shed <- t.shed + 1;
-      record disp_shed;
-      ( Error
-          (Shed
-             {
-               queued = queued t;
-               retry_after_rounds = retry_hint t.cfg ~queued:(queued t);
-             }),
-        disp_shed )
-    in
-    (* Is there room for one more pending ticket?  [`Evict] when only
-       shedding a queued recurrence can make room. *)
-    let room =
-      if t.cfg.max_queue = 0 then
-        if inflight t >= t.cfg.max_inflight then `No else `Yes
-      else if queued t >= t.cfg.max_queue then
-        if Queue.is_empty t.rqueue then `No else `Evict
-      else `Yes
-    in
-    let res, disp =
-      if t.draining then busy ()
-      else
-        match Triage.classify tri ~round:t.rounds fp with
-        | Triage.Duplicate { canonical; count } ->
-          (* In flight or recently diagnosed: fold into the cluster.
-             Costs no capacity, so it succeeds even at the queue bound
-             — a storm of duplicates cannot saturate the service. *)
-          Triage.coalesce tri ~fp;
-          t.coalesced <- t.coalesced + 1;
-          record disp_coalesced;
-          (Ok (Coalesced { canonical; count = count + 1 }), disp_coalesced)
-        | Triage.New -> (
-          (* A fresh bug sheds a queued recurrence before it accepts
-             [Busy]: a recurrence storm must not starve first
-             diagnoses. *)
-          match room with
-          | `No -> busy ()
-          | `Evict | `Yes ->
-            (if room = `Evict then
-               match shed_newest_recurrence t with
-               | Some _ -> ()
-               | None -> assert false);
-            Triage.open_fresh tri ~fp ~name ~id;
-            Queue.add
-              { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds;
-                p_revert = None }
-              t.queue;
-            record disp_fresh;
-            (Ok (Ticket id), disp_fresh))
-        | Triage.Recurrence { canonical; done_round } -> (
-          match room with
-          | `No | `Evict ->
-            (* Recurrences are the shed class: at the bound they are
-               refused with [Shed], never queued over fresh work. *)
-            shed ()
-          | `Yes ->
-            Triage.reopen tri ~fp ~name ~id;
-            Queue.add
-              { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds;
-                p_revert = Some (canonical, done_round) }
-              t.rqueue;
-            record disp_recur;
-            (Ok (Ticket id), disp_recur))
-    in
+  let fp = match t.triage with None -> 0 | Some _ -> fingerprint_of_spec spec in
+  let decide disp res =
+    jrnl t (Journal.Submitted { id; name; fp; disp });
     (res, disp, fp)
+  in
+  let retry_after_rounds () = retry_hint t.cfg ~queued:(queued t) in
+  let busy () =
+    t.rejected <- t.rejected + 1;
+    decide disp_busy
+      (Error
+         (Busy
+            {
+              inflight = inflight t;
+              queued = queued t;
+              retry_after_rounds = retry_after_rounds ();
+            }))
+  in
+  (* Is there room for one more pending ticket?  [`Evict] when only
+     shedding a queued recurrence can make room; with [max_queue = 0]
+     there is no waiting room, so refuse once the in-flight cap alone
+     is saturated (admission happens next [step]). *)
+  let room =
+    if t.cfg.max_queue = 0 then
+      if inflight t >= t.cfg.max_inflight then `No else `Yes
+    else if queued t >= t.cfg.max_queue then
+      if Queue.is_empty t.rqueue then `No else `Evict
+    else `Yes
+  in
+  let enqueue q ~revert =
+    Queue.add
+      { p_id = id; p_spec = spec; p_fp = fp; p_round = t.rounds; p_revert = revert }
+      q
+  in
+  let with_triage f = Option.iter f t.triage in
+  if t.draining then busy ()
+  else
+    let verdict =
+      match t.triage with
+      | None -> Triage.New
+      | Some tri -> Triage.classify tri ~round:t.rounds fp
+    in
+    match verdict with
+    | Triage.Duplicate { canonical; count } ->
+      (* In flight or recently diagnosed: fold into the cluster.  Costs
+         no capacity, so it succeeds even at the queue bound — a storm
+         of duplicates cannot saturate the service. *)
+      with_triage (fun tri -> Triage.coalesce tri ~fp);
+      t.coalesced <- t.coalesced + 1;
+      decide disp_coalesced (Ok (Coalesced { canonical; count = count + 1 }))
+    | Triage.New -> (
+      (* A fresh bug sheds a queued recurrence before it accepts
+         [Busy]: a recurrence storm must not starve first diagnoses. *)
+      match room with
+      | `No -> busy ()
+      | `Evict | `Yes ->
+        if room = `Evict then shed_newest_recurrence t;
+        with_triage (fun tri -> Triage.open_fresh tri ~fp ~name ~id);
+        enqueue t.queue ~revert:None;
+        decide disp_fresh (Ok (Ticket id)))
+    | Triage.Recurrence { canonical; done_round } -> (
+      match room with
+      | `No | `Evict ->
+        (* Recurrences are the shed class: at the bound they are
+           refused with [Shed], never queued over fresh work. *)
+        t.shed <- t.shed + 1;
+        decide disp_shed
+          (Error
+             (Shed { queued = queued t; retry_after_rounds = retry_after_rounds () }))
+      | `Yes ->
+        with_triage (fun tri -> Triage.reopen tri ~fp ~name ~id);
+        enqueue t.rqueue ~revert:(Some (canonical, done_round));
+        decide disp_recur (Ok (Ticket id)))
 
 let submit t spec =
-  let res, _disp, _fp = submit_triaged t spec in
+  let res, _disp, _fp = admit_decision t spec in
   res
 
 (* Book one session's exit — diagnosis or typed failure — into the
@@ -962,19 +923,20 @@ let step t =
 
 let rec drain t = if step t then drain t
 
-let completions t = List.rev t.completions
-
 (* Harvest and forget: a long-running service must not retain every
-   diagnosis it ever produced. *)
+   diagnosis or shed notice it ever produced.  A harvest writes the
+   cadence checkpoint that was blocked on unharvested output, once
+   neither list holds any. *)
+let write_due_checkpoint t =
+  if t.ckpt_due && t.completions = [] && t.sheds = [] then begin
+    t.ckpt_due <- false;
+    ignore (do_checkpoint t)
+  end
+
 let take_completions t =
   let cs = List.rev t.completions in
   t.completions <- [];
-  (* The cadence checkpoint that was blocked on these completions
-     (still deferred while shed notices wait for their own harvest). *)
-  if t.ckpt_due && t.sheds = [] then begin
-    t.ckpt_due <- false;
-    ignore (do_checkpoint t)
-  end;
+  write_due_checkpoint t;
   cs
 
 let stats t =
@@ -1001,16 +963,10 @@ let stats t =
       (match t.triage with None -> 0 | Some tri -> Triage.evicted tri);
   }
 
-(* Shed notices mirror completions: harvest-and-forget, and the
-   cadence checkpoint blocked on an unharvested notice is written at
-   the harvest. *)
 let take_shed t =
   let ss = List.rev t.sheds in
   t.sheds <- [];
-  if t.ckpt_due && t.completions = [] then begin
-    t.ckpt_due <- false;
-    ignore (do_checkpoint t)
-  end;
+  write_due_checkpoint t;
   ss
 
 (* ------------------------------------------------------------------ *)
@@ -1079,8 +1035,6 @@ let triage_enabled t = t.triage <> None
 (* Crash-only lifecycle *)
 
 let journal_bytes t = Journal.contents t.journal
-
-let checkpoint t = do_checkpoint t
 
 let request_drain t = t.draining <- true
 
@@ -1307,49 +1261,25 @@ let recover ?(pool = Parallel.Pool.sequential) ~resolve bytes =
     let tail = List.filteri (fun i _ -> i > idx) entries in
     let replay entry =
         match entry with
-        | Journal.Rec (Journal.Submitted { id; name; rejected }) ->
-          if rejected then begin
-            (* The spec is not needed to replay a refusal — only the
-               counters (and the journal record) matter. *)
-            t.submitted <- t.submitted + 1;
-            t.rejected <- t.rejected + 1;
-            jrnl t (Journal.Submitted { id = t.submitted; name; rejected = true });
-            if t.submitted <> id then t.divergences <- t.divergences + 1
-          end
-          else begin
-            let sp =
-              match resolve name with
-              | Some sp -> sp
-              | None -> raise (Recover_failed (Unresolved_spec name))
-            in
-            (* Draining refuses submissions; the original journal can
-               only hold an accepted record from before the drain, so
-               lift the flag for the replayed call. *)
-            let was_draining = t.draining in
-            t.draining <- false;
-            (match submit t sp with
-             | Ok (Ticket id') ->
-               if id' <> id then t.divergences <- t.divergences + 1
-             | Ok (Coalesced _) | Error _ ->
-               t.divergences <- t.divergences + 1);
-            t.draining <- was_draining
-          end
-        | Journal.Rec (Journal.Triaged { id; name; fp; disp }) ->
-          (* Triage decisions are pure functions of service state, so
-             replay re-derives them through the real [submit] and
-             audits the re-derived disposition (and fingerprint, and
-             ticket id) against the journaled one. *)
+        | Journal.Rec (Journal.Submitted { id; name; fp; disp }) ->
+          (* Admission decisions are pure functions of service state,
+             so replay re-derives each one through the real [submit]
+             path and audits the re-derived disposition, fingerprint
+             and ticket id against the journaled ones. *)
           let sp =
             match resolve name with
             | Some sp -> sp
             | None -> raise (Recover_failed (Unresolved_spec name))
           in
+          (* Draining refuses submissions; the original journal can
+             only hold an accepted record from before the drain, so
+             lift the flag for the replayed call. *)
           let accepted =
             disp = disp_fresh || disp = disp_recur || disp = disp_coalesced
           in
           let was_draining = t.draining in
           if accepted then t.draining <- false;
-          let res, disp', fp' = submit_triaged t sp in
+          let res, disp', fp' = admit_decision t sp in
           t.draining <- was_draining;
           let id_ok =
             match res with

@@ -47,19 +47,20 @@ type spec = {
     active sessions want more than the budget, the ring rotates so no
     session waits more than [max_inflight] rounds for service.
     [checkpoint_every_rounds]: journal a full-state checkpoint every
-    that many rounds ([0] = only the initial checkpoint and those
-    asked for with {!checkpoint}); recovery replays at most that many
-    rounds.
+    that many rounds ([0] = only the initial checkpoint); recovery
+    replays at most that many rounds.
     [session_deadline_rounds]: evict a session still undiagnosed that
     many rounds after admission ([0] = no deadline).
     [max_session_strikes]: rounds with raising thunks a session
     survives (each substitutes deterministic crash outcomes) before it
     is quarantined.
 
-    Triage (the duplicate-storm front-end; default off so a plain
-    service is byte-compatible with earlier journals and tests):
+    Triage (the duplicate-storm front-end; default off):
     [triage] turns fingerprint-keyed coalescing, the two admission
-    lanes and recurrence shedding on.  [max_clusters] bounds the LRU
+    lanes and recurrence shedding on.  Admission runs one path either
+    way: without triage every submission is a never-seen bug
+    (fingerprint [0], no cluster table), so the recurrence lane stays
+    empty and admission is a single FIFO bounded by [max_queue].  [max_clusters] bounds the LRU
     cluster table.  [fresh_weight]/[recur_weight] set the
     deficit-round-robin admission ratio between never-seen
     fingerprints and re-diagnoses of known ones.  [recency_rounds]:
@@ -207,9 +208,11 @@ val queued : t -> int
 (** Ticket a session for admission, coalesce a duplicate onto its
     cluster (triage only), or refuse with typed backpressure/shedding.
     Ticket ids are unique and become the session's wire-protocol
-    session key.  Always refuses while draining.  With triage on, the
-    fingerprint is computed here (one slice of an already-memoised
-    program) and the decision is journaled as a [Triaged] record. *)
+    session key.  Always refuses while draining.  Every decision,
+    refusals included, is journaled as one {!Journal.record.Submitted}
+    record.  With triage on, the fingerprint is computed here (one
+    slice of an already-memoised program); without it the fingerprint
+    is [0] and no slice is taken. *)
 val submit : t -> spec -> (admission, sreject) result
 
 (** One scheduler round (evict expired, admit, grant, run, deliver —
@@ -226,13 +229,11 @@ val step : t -> bool
     ({!Drive.run} does). *)
 val drain : t -> unit
 
-(** Completed sessions, in completion order (deterministic). *)
-val completions : t -> completion list
-
-(** {!completions}, harvesting: the internal list is cleared, so a
-    long-running service retains nothing per completed session.
-    Harvesting also re-arms checkpointing — a checkpoint is only
-    written when no unharvested completion could be lost with it. *)
+(** Completed sessions since the last harvest, in completion order
+    (deterministic).  The internal list is cleared, so a long-running
+    service retains nothing per completed session.  Harvesting also
+    re-arms checkpointing — a checkpoint is only written when no
+    unharvested completion could be lost with it. *)
 val take_completions : t -> completion list
 
 (** A queued recurrence ticket dropped to make room for a fresh bug —
@@ -297,12 +298,6 @@ val triage_enabled : t -> bool
     ({!Journal.save_file}); any prefix of any call's result is a valid
     recovery input — that is the crash model. *)
 val journal_bytes : t -> string
-
-(** Journal a full-state checkpoint now.  [false] — and no record
-    written — when completions are waiting to be harvested (a
-    checkpoint must never strand a completion: un-harvested results
-    are regenerated by replay, harvested ones must not be). *)
-val checkpoint : t -> bool
 
 (** Stop admitting: every later {!submit} is refused.  Already-queued
     and in-flight sessions still run to completion, so the ledger

@@ -66,26 +66,21 @@ let fuzz_spec ?(early_exit = true) ?faults ?(tweak = Fun.id) ~name
     | None -> case
     | Some _ -> { case with Fuzz.Gen.c_faults = faults }
   in
-  match Fuzz.Check.divergence case with
-  | Some _ -> None
-  | None ->
-    (match (Fuzz.Check.probe case).Fuzz.Check.p_target with
-     | None -> None
-     | Some failure ->
-       let config =
-         { (Fuzz.Check.config_of case) with Gist.Config.early_exit }
-       in
-       Some
-         {
-           Service.sp_name = name;
-           sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-           sp_config = tweak config;
-           sp_oracle = None;
-           sp_program = case.Fuzz.Gen.c_program;
-           sp_workload_of = Fuzz.Gen.workload_of case;
-           sp_failure = failure;
-           sp_case = Some case;
-         })
+  match Fuzz.Check.prepare case with
+  | Error _ -> None
+  | Ok failure ->
+    let config = { (Fuzz.Check.config_of case) with Gist.Config.early_exit } in
+    Some
+      {
+        Service.sp_name = name;
+        sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
+        sp_config = tweak config;
+        sp_oracle = None;
+        sp_program = case.Fuzz.Gen.c_program;
+        sp_workload_of = Fuzz.Gen.workload_of case;
+        sp_failure = failure;
+        sp_case = Some case;
+      }
 
 (* The shared base population: all diagnosable Bugbase bugs plus
    [fuzz_count] fuzz cases. *)

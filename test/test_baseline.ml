@@ -1,6 +1,6 @@
 (* Record/replay baseline tests: replay must reproduce the recorded
    outcome exactly (that is what makes it a record/replay system), and
-   the cost relationships of Fig. 13 must hold. *)
+   the cost relationships of Fig. 13 and the §5.3 summary must hold. *)
 
 module I = Exec.Interp
 
@@ -59,30 +59,19 @@ let replay =
           (List.length rec_.rec_read_values > 0));
   ]
 
+(* The overhead claims of Fig. 13 and the §5.3 summary, checked on
+   the code paths those experiments run. *)
 let overheads =
   [
     Alcotest.test_case "rr costs more than full hardware PT" `Quick (fun () ->
-        let bug = Bugbase.Transmission.bug in
-        let wl = bug.workload_of 0 in
-        let rec_ =
-          Baseline.Rr.record ~preempt_prob:bug.preempt_prob bug.program wl
-        in
-        let _, pt_pct =
-          Baseline.Softpt.full_pt ~preempt_prob:bug.preempt_prob bug.program wl
-        in
+        let row = Experiments.Fig13.row_for Bugbase.Transmission.bug in
         Alcotest.(check bool) "rr > pt" true
-          (Baseline.Rr.overhead_percent rec_ > pt_pct));
+          (row.Experiments.Fig13.rr_pct > row.Experiments.Fig13.pt_pct));
     Alcotest.test_case "software tracing costs more than hardware PT" `Quick
       (fun () ->
         let bug = Bugbase.Curl.bug in
-        let wl = bug.workload_of 0 in
-        let _, sw_pct =
-          Baseline.Softpt.full_trace ~preempt_prob:bug.preempt_prob bug.program
-            wl
-        in
-        let _, pt_pct =
-          Baseline.Softpt.full_pt ~preempt_prob:bug.preempt_prob bug.program wl
-        in
+        let sw_pct = Experiments.Summary.sw_trace_pct bug in
+        let pt_pct = (Experiments.Fig13.row_for bug).Experiments.Fig13.pt_pct in
         Alcotest.(check bool) "sw > pt" true (sw_pct > pt_pct);
         Alcotest.(check bool) "sw is multiples of base" true (sw_pct > 300.0));
   ]

@@ -218,24 +218,20 @@ let corpus_cases =
      | Error e -> Alcotest.failf "corpus load: %s" e)
 
 let corpus_spec (case : Fuzz.Gen.case) =
-  match Fuzz.Check.divergence case with
-  | Some _ -> None
-  | None ->
-    (match (Fuzz.Check.probe case).Fuzz.Check.p_target with
-     | None -> None
-     | Some failure ->
-       Some
-         {
-           Svc.sp_name = case.Fuzz.Gen.c_name;
-           sp_failure_type =
-             Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-           sp_config = Fuzz.Check.config_of case;
-           sp_oracle = None;
-           sp_program = case.Fuzz.Gen.c_program;
-           sp_workload_of = Fuzz.Gen.workload_of case;
-           sp_failure = failure;
-    sp_case = None;
-         })
+  match Fuzz.Check.prepare case with
+  | Error _ -> None
+  | Ok failure ->
+    Some
+      {
+        Svc.sp_name = case.Fuzz.Gen.c_name;
+        sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
+        sp_config = Fuzz.Check.config_of case;
+        sp_oracle = None;
+        sp_program = case.Fuzz.Gen.c_program;
+        sp_workload_of = Fuzz.Gen.workload_of case;
+        sp_failure = failure;
+        sp_case = None;
+      }
 
 let corpus_through_recovery () =
   let specs = List.filter_map corpus_spec (Lazy.force corpus_cases) in
@@ -369,8 +365,8 @@ let gate_matches_one_shot () =
 
 let sample_records =
   [
-    J.Submitted { id = 1; name = "pbzip2"; rejected = false };
-    J.Submitted { id = 2; name = "curl"; rejected = true };
+    J.Submitted { id = 1; name = "pbzip2"; fp = 0; disp = 0 };
+    J.Submitted { id = 2; name = "curl"; fp = 0x5EED; disp = 4 };
     J.Round { round = 1; digest = 0x1234ABCD };
     J.Completed { id = 1; digest = 0x77FF0011 };
     J.Checkpoint { round = 1; state = "state bytes \x00\xff here" };
@@ -434,6 +430,19 @@ let journal_tests =
         match List.nth entries 5 with
         | J.Rec (J.Round { round = 2; digest = 42 }) -> ()
         | _ -> Alcotest.fail "the record after the damage did not load");
+    Alcotest.test_case "a frame length near max_int is a torn tail"
+      `Quick (fun () ->
+        (* magic, kind 0, then a length whose [pos + len + 8] wraps
+           negative: the bound must not overflow into a [String.sub]
+           (or, when corrupting, an out-of-bounds read). *)
+        let b = Buffer.create 32 in
+        Buffer.add_string b "\xA7\x00";
+        Hw.Wirebuf.put_uint b (max_int - 4);
+        Buffer.add_string b (String.make 12 'x');
+        let bytes = Buffer.contents b in
+        Alcotest.(check int) "load keeps nothing" 0 (List.length (J.load bytes));
+        Alcotest.(check bool) "no checkpoint to corrupt" true
+          (J.corrupt_last_checkpoint ~salt:7 bytes = None));
     Alcotest.test_case "file roundtrip" `Quick (fun () ->
         let j = J.create () in
         List.iter (J.append j) sample_records;

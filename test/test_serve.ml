@@ -74,7 +74,7 @@ let multiplexed ~jobs specs =
           | Error f ->
             Alcotest.failf "session %s failed: %s" c.Serve.Service.c_name
               (Serve.Service.session_failure_to_string f))
-        (Serve.Service.completions svc))
+        (Serve.Service.take_completions svc))
 
 (* ------------------------------------------------------------------ *)
 (* Bugbase: all 11 bugs as concurrent sessions of one service. *)
@@ -278,7 +278,7 @@ let admission =
         Alcotest.(check int) "completions harvested once" st.st_completed
           (List.length (Serve.Service.take_completions svc));
         Alcotest.(check int) "nothing retained after harvest" 0
-          (List.length (Serve.Service.completions svc)));
+          (List.length (Serve.Service.take_completions svc)));
     Alcotest.test_case
       "fairness: no session starved beyond max_inflight rounds" `Quick
       (fun () ->
@@ -459,24 +459,20 @@ let corpus_cases =
      | Error e -> Alcotest.failf "corpus load: %s" e)
 
 let corpus_spec (case : Fuzz.Gen.case) =
-  match Fuzz.Check.divergence case with
-  | Some _ -> None
-  | None ->
-    (match (Fuzz.Check.probe case).Fuzz.Check.p_target with
-     | None -> None
-     | Some failure ->
-       Some
-         {
-           Serve.Service.sp_name = case.Fuzz.Gen.c_name;
-           sp_failure_type =
-             Exec.Failure.kind_to_string failure.Exec.Failure.kind;
-           sp_config = Fuzz.Check.config_of case;
-           sp_oracle = None;
-           sp_program = case.Fuzz.Gen.c_program;
-           sp_workload_of = Fuzz.Gen.workload_of case;
-           sp_failure = failure;
-    sp_case = None;
-         })
+  match Fuzz.Check.prepare case with
+  | Error _ -> None
+  | Ok failure ->
+    Some
+      {
+        Serve.Service.sp_name = case.Fuzz.Gen.c_name;
+        sp_failure_type = Exec.Failure.kind_to_string failure.Exec.Failure.kind;
+        sp_config = Fuzz.Check.config_of case;
+        sp_oracle = None;
+        sp_program = case.Fuzz.Gen.c_program;
+        sp_workload_of = Fuzz.Gen.workload_of case;
+        sp_failure = failure;
+        sp_case = None;
+      }
 
 let corpus =
   [

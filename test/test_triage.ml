@@ -34,6 +34,7 @@ module S = Gist.Server
 module Svc = Serve.Service
 module T = Serve.Triage
 module F = Fsketch.Fingerprint
+module J = Serve.Journal
 
 let compare_diagnoses name (a : S.diagnosis) (b : S.diagnosis) =
   Alcotest.(check string)
@@ -648,6 +649,120 @@ let drive_answers_a_storm () =
     (List.length oc.Serve.Drive.o_done)
 
 (* ------------------------------------------------------------------ *)
+(* One admission path: with every fingerprint distinct, nothing
+   coalesces, recurs or sheds, so a triaging service must make the
+   very decisions a triage-less one makes — the same tickets,
+   refusals and retry hints, the same completions and round digests,
+   and the same journal once fingerprints are masked.  The 11 Bugbase
+   bugs go in a few per round against a tight scheduler, so later
+   submissions meet a full in-flight set and a full (or absent)
+   waiting room; the last batch meets a draining service. *)
+
+let admission_equivalence () =
+  let specs =
+    List.map
+      (fun b ->
+        let sp = bugbase_spec b in
+        { sp with Svc.sp_config = storm_tweak sp.Svc.sp_config })
+      Bugbase.Registry.all
+  in
+  Alcotest.(check int) "11 Bugbase bugs" 11 (List.length specs);
+  let fps =
+    List.map
+      (fun (sp : Svc.spec) -> F.to_int (F.compute sp.sp_program sp.sp_failure))
+      specs
+  in
+  Alcotest.(check int) "fingerprints pairwise distinct" 11
+    (List.length (List.sort_uniq compare fps));
+  let batches = [ [ 0; 1; 2 ]; [ 3; 4; 5 ]; [ 6; 7; 8 ]; [ 9; 10 ] ] in
+  let run sconfig =
+    let svc = Svc.create ~sconfig () in
+    let completions = ref [] in
+    let step () =
+      let more = Svc.step svc in
+      completions := !completions @ Svc.take_completions svc;
+      more
+    in
+    let results =
+      List.concat
+        (List.mapi
+           (fun k batch ->
+             if k = List.length batches - 1 then Svc.request_drain svc;
+             let rs = List.map (fun i -> Svc.submit svc (List.nth specs i)) batch in
+             ignore (step () : bool);
+             rs)
+           batches)
+    in
+    while step () do () done;
+    (results, !completions, Svc.stats svc, J.load (Svc.journal_bytes svc))
+  in
+  let completion_key (c : Svc.completion) =
+    ( c.c_id,
+      c.c_name,
+      c.c_admitted_round,
+      c.c_completed_round,
+      c.c_slots,
+      match c.c_result with
+      | Ok d -> Fsketch.Render.render d.S.sketch
+      | Error f -> Svc.session_failure_to_string f )
+  in
+  (* Fingerprints are 0 without triage; checkpoint states encode the
+     [triage] flag and the cluster table, so only their rounds are
+     comparable. *)
+  let mask = function
+    | J.Rec (J.Submitted r) -> J.Rec (J.Submitted { r with fp = 0 })
+    | J.Rec (J.Checkpoint { round; _ }) -> J.Rec (J.Checkpoint { round; state = "" })
+    | e -> e
+  in
+  let rounds =
+    List.filter_map (function
+      | J.Rec (J.Round { round; digest }) -> Some (round, digest)
+      | _ -> None)
+  in
+  List.iter
+    (fun (label, max_queue, checkpoint_every_rounds) ->
+      let sconfig =
+        {
+          Svc.default with
+          Svc.max_inflight = 2;
+          max_queue;
+          quantum = 8;
+          round_budget = 16;
+          checkpoint_every_rounds;
+        }
+      in
+      let r_off, c_off, st_off, j_off = run sconfig in
+      let r_on, c_on, st_on, j_on = run { sconfig with Svc.triage = true } in
+      let check what = Alcotest.(check bool) (label ^ ": " ^ what) true in
+      check "some submission refused Busy"
+        (List.exists (function Error (Svc.Busy _) -> true | _ -> false) r_off);
+      check "some submission ticketed"
+        (List.exists (function Ok (Svc.Ticket _) -> true | _ -> false) r_off);
+      check "every submit result equal" (r_off = r_on);
+      check "completions equal, in order"
+        (List.map completion_key c_off = List.map completion_key c_on);
+      check "round digests equal" (rounds j_off = rounds j_on);
+      check "stats equal but for the cluster table"
+        ({ st_on with Svc.st_clusters = 0 } = st_off);
+      (* Without compaction every submission is still journaled. *)
+      if checkpoint_every_rounds = 0 then
+        check "journaled fingerprints: 11, distinct, non-zero"
+          (let jfps =
+             List.filter_map (function
+               | J.Rec (J.Submitted { fp; _ }) -> Some fp
+               | _ -> None) j_on
+           in
+           List.length (List.sort_uniq compare jfps) = 11
+           && not (List.mem 0 jfps));
+      check "journals agree record for record once fp is masked"
+        (List.map mask j_off = List.map mask j_on);
+      check "nothing damaged"
+        (List.for_all (function J.Rec _ -> true | J.Damaged _ -> false) j_off))
+    (* Cadence 0 keeps the whole journal (no compaction); cadence 2
+       compares the cadence checkpoints too. *)
+    [ ("queue 3", 3, 0); ("queue 3, cadence 2", 3, 2); ("no waiting room", 0, 2) ]
+
+(* ------------------------------------------------------------------ *)
 (* The corpus reproducers added for this suite: 20-* coalesces against
    its own in-flight diagnosis, 21-* against its completed one. *)
 
@@ -751,6 +866,8 @@ let () =
             storm_kill_differential;
           Alcotest.test_case "the driver answers every storm spec once" `Quick
             drive_answers_a_storm;
+          Alcotest.test_case "triage off = triage on over distinct bugs" `Quick
+            admission_equivalence;
         ] );
       ( "corpus",
         [
